@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.client.browser import Browser
 from repro.client.cache import ClientCache
+from repro.imaging.codec import DecodeMemo
 from repro.sim.geometry import Location
 from repro.sms.gateway import SmsGateway
 from repro.sms.message import SmsMessage
@@ -64,6 +65,7 @@ class SonicClient:
         gateway: SmsGateway | None = None,
         server_number: str | None = None,
         cache_capacity: int = 50,
+        decode_memo: DecodeMemo | None = None,
     ) -> None:
         self.profile = profile
         self.cache = ClientCache(capacity=cache_capacity)
@@ -71,6 +73,9 @@ class SonicClient:
         self._gateway = gateway
         self._server_number = server_number
         self._transport = BundleTransport()
+        # Shared with co-located receivers (see SonicSystem): each
+        # distinct page image is then decoded once, into read-only pixels.
+        self._decode_memo = decode_memo
         # Keyed by (page_id, version): chunks of different renders of the
         # same page must never mix.
         self._partial: dict[tuple[int, int], dict[int, Frame]] = {}
@@ -111,7 +116,7 @@ class SonicClient:
             if len(slots) == frame.header.total:
                 data = self._transport.reassemble(list(slots.values()))
                 if data is not None:
-                    bundle = PageBundle.from_bytes(data)
+                    bundle = PageBundle.from_bytes(data, self._decode_memo)
                     self.cache.put(bundle, now)
                     self.pending_requests.pop(bundle.url, None)
                     self.upcoming.pop(bundle.url, None)

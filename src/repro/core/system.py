@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.client.client import ClientProfile, SonicClient
 from repro.core.config import SystemConfig
+from repro.imaging.codec import DecodeMemo
 from repro.radio.lossmodel import FrameLossModel
 from repro.server.server import ServerConfig, SonicServer
 from repro.server.transmitters import Transmitter, TransmitterRegistry
@@ -57,6 +58,10 @@ class SonicSystem:
                 )
             ]
         )
+        # The server and every receiver of this deployment see the same
+        # bundles, so they share one decode memo (read-only pixels); it is
+        # per system so separate deployments never see each other's pages.
+        self.decode_memo = DecodeMemo()
         self.server = SonicServer(
             self.generator,
             self.registry,
@@ -67,6 +72,7 @@ class SonicSystem:
                 max_pixel_height=config.max_pixel_height,
                 quality=config.quality,
             ),
+            decode_memo=self.decode_memo,
         )
         self.loss_model = FrameLossModel(seed=config.seed)
         self.clients: list[SonicClient] = []
@@ -96,7 +102,10 @@ class SonicSystem:
 
     def add_client(self, profile: ClientProfile) -> SonicClient:
         client = SonicClient(
-            profile, gateway=self.gateway, server_number=self.config.sms_number
+            profile,
+            gateway=self.gateway,
+            server_number=self.config.sms_number,
+            decode_memo=self.decode_memo,
         )
         self.clients.append(client)
         return client

@@ -13,7 +13,7 @@ from repro.imaging.color import (
     downsample_420,
     upsample_420,
 )
-from repro.imaging.codec import SWebpCodec, CodecError
+from repro.imaging.codec import SWebpCodec, CodecError, DecodeMemo
 from repro.imaging.interpolate import (
     interpolate_missing,
     loss_mask_from_columns,
@@ -28,6 +28,7 @@ __all__ = [
     "upsample_420",
     "SWebpCodec",
     "CodecError",
+    "DecodeMemo",
     "interpolate_missing",
     "loss_mask_from_columns",
     "mse",

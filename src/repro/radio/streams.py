@@ -29,7 +29,7 @@ total input length).
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from repro.dsp.filters import fir_lowpass
 from repro.radio.channels import AcousticChannel, FmLinkConfig, FmRadioLink
@@ -158,32 +158,42 @@ class StreamingFir:
     chunk boundaries (scipy's summation order differs near the start of
     each call), so this filter uses the same technique as the streaming
     preamble correlator: convolve in fixed blocks anchored at absolute
-    stream positions via ``fftconvolve(..., "valid")``.  Every output
-    sample is then computed from exactly the same input window with
-    exactly the same arithmetic no matter how the input was chunked.
-    The first ``(taps-1)//2`` outputs (the group delay) are dropped and
-    the same number of zeros is flushed at the end, so the output is
-    time-aligned with the input and equal in length, like
-    :func:`repro.dsp.filters.filter_signal` for whole arrays.
+    stream positions (overlap-save with the last ``taps-1`` inputs as
+    context).  Every output sample is then computed from exactly the
+    same input window with exactly the same arithmetic no matter how the
+    input was chunked.  The first ``(taps-1)//2`` outputs (the group
+    delay) are dropped and the same number of zeros is flushed at the
+    end, so the output is time-aligned with the input and equal in
+    length, like :func:`repro.dsp.filters.filter_signal` for whole arrays.
+
+    Each block is ``fftconvolve(context + block, taps, "valid")`` done
+    by hand: the same pocketfft r2c/c2r at the same fast length, so the
+    output is bit-identical to it, but the taps' spectrum is computed
+    once per FFT length (one for full blocks, one for the flush tail)
+    instead of once per block.
     """
 
-    def __init__(self, taps: np.ndarray, block: int | None = None) -> None:
+    def __init__(self, taps: np.ndarray) -> None:
         self._taps = np.asarray(taps, dtype=np.float64)
         m = self._taps.size
-        self.block = block if block is not None else max(4096, 4 * m)
+        self._block = max(4096, 4 * m)
         self.delay = (m - 1) // 2
         self._to_drop = self.delay
         self._context = np.zeros(m - 1)  # last taps-1 input samples
         self._pending = np.zeros(0)
+        self._spectra: dict[int, np.ndarray] = {}  # FFT length -> rfft(taps)
         self._flushed = False
 
     def _filter_segment(self, seg: np.ndarray) -> np.ndarray:
         """Causal outputs for ``seg`` given the carried left context."""
-        y = signal.fftconvolve(
-            np.concatenate([self._context, seg]), self._taps, mode="valid"
-        )
-        tail = np.concatenate([self._context, seg])[-(self._taps.size - 1) :]
-        self._context = tail
+        m = self._taps.size
+        ext = np.concatenate([self._context, seg])
+        nfft = sp_fft.next_fast_len(ext.size + m - 1, True)
+        spectrum = self._spectra.get(nfft)
+        if spectrum is None:
+            spectrum = self._spectra[nfft] = sp_fft.rfft(self._taps, nfft)
+        y = sp_fft.irfft(sp_fft.rfft(ext, nfft) * spectrum, nfft)[m - 1 : ext.size]
+        self._context = ext[ext.size - (m - 1) :]
         return y
 
     def _emit(self, y: np.ndarray) -> np.ndarray:
@@ -193,15 +203,28 @@ class StreamingFir:
             y = y[n:]
         return y
 
+    def _run_blocks(self, x: np.ndarray, partial: bool) -> np.ndarray:
+        """Filter whole blocks of ``x`` (and its remainder if ``partial``);
+        returns the outputs and keeps the unfiltered rest pending."""
+        outs: list[np.ndarray] = []
+        start = 0
+        while x.size - start >= self._block:
+            seg = x[start : start + self._block]
+            outs.append(self._emit(self._filter_segment(seg)))
+            start += self._block
+        if partial and start < x.size:
+            outs.append(self._emit(self._filter_segment(x[start:])))
+            start = x.size
+        self._pending = x[start:].copy()  # never a view of the caller's array
+        return np.concatenate(outs) if outs else np.zeros(0)
+
     def process(self, x: np.ndarray) -> np.ndarray:
         if self._flushed:
             raise RuntimeError("filter already flushed")
-        self._pending = np.concatenate([self._pending, np.asarray(x, dtype=np.float64)])
-        outs: list[np.ndarray] = []
-        while self._pending.size >= self.block:
-            outs.append(self._emit(self._filter_segment(self._pending[: self.block])))
-            self._pending = self._pending[self.block :]
-        return np.concatenate(outs) if outs else np.zeros(0)
+        x = np.asarray(x, dtype=np.float64)
+        if self._pending.size:
+            x = np.concatenate([self._pending, x])
+        return self._run_blocks(x, partial=False)
 
     def flush(self) -> np.ndarray:
         """Emit the buffered tail; total output length equals input."""
@@ -210,15 +233,9 @@ class StreamingFir:
         self._flushed = True
         # The delay-compensation zeros land at a position fixed by the
         # total input length alone, so the flush is chunk-invariant too.
-        tail = np.concatenate([self._pending, np.zeros(self.delay)])
-        self._pending = np.zeros(0)
-        outs: list[np.ndarray] = []
-        while tail.size >= self.block:
-            outs.append(self._emit(self._filter_segment(tail[: self.block])))
-            tail = tail[self.block :]
-        if tail.size:
-            outs.append(self._emit(self._filter_segment(tail)))
-        return np.concatenate(outs) if outs else np.zeros(0)
+        return self._run_blocks(
+            np.concatenate([self._pending, np.zeros(self.delay)]), partial=True
+        )
 
 
 class _Upsampler:
@@ -343,26 +360,27 @@ class FmLinkStream:
         NOISE_BLOCK`` of a generator derived from the block index, so the
         noise a given RF sample sees never depends on chunk boundaries.
         """
-        out = np.empty(n, dtype=np.complex128)
-        filled = 0
+        parts: list[np.ndarray] = []
         pos = self._noise_pos
-        while filled < n:
+        end = pos + n
+        while pos < end:
             block_idx, offset = divmod(pos, NOISE_BLOCK)
             if self._noise_cache is None or self._noise_cache[0] != block_idx:
                 rng = derive_rng(
                     self._noise_seed, "fm-stream-noise", self._noise_stream, block_idx
                 )
                 raw = rng.normal(size=2 * NOISE_BLOCK)
-                self._noise_cache = (
-                    block_idx,
-                    raw[:NOISE_BLOCK] + 1j * raw[NOISE_BLOCK:],
-                )
-            take = min(n - filled, NOISE_BLOCK - offset)
-            out[filled : filled + take] = self._noise_cache[1][offset : offset + take]
-            filled += take
+                # Scaled once per block: per sample, the same product as
+                # scaling each requested span.
+                block = self._noise_amp * (raw[:NOISE_BLOCK] + 1j * raw[NOISE_BLOCK:])
+                block.setflags(write=False)
+                self._noise_cache = (block_idx, block)
+            take = min(end - pos, NOISE_BLOCK - offset)
+            parts.append(self._noise_cache[1][offset : offset + take])
             pos += take
-        self._noise_pos = pos
-        return self._noise_amp * out
+        self._noise_pos = end
+        # A (read-only) view of the cached block when the span fits in one.
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # -- chain stages ------------------------------------------------------
     # Each helper enters the chain at one hop so finish() can flush the
@@ -382,13 +400,21 @@ class FmLinkStream:
         # results for any chunking.
         csum = np.cumsum(np.concatenate([[self._phase_carry], rf_in]))[1:]
         self._phase_carry = float(csum[-1])
-        phase = 2.0 * np.pi * self._deviation * csum / self._rf_rate
-        iq = np.exp(1j * phase) + self._noise(rf_in.size)
+        # In-place forms of ``exp(1j * 2 pi dev csum / rate) + noise``,
+        # operation for operation, so every sample is bit-identical.
+        csum *= 2.0 * np.pi * self._deviation
+        csum /= self._rf_rate
+        iq = 1j * csum
+        np.exp(iq, out=iq)
+        iq += self._noise(rf_in.size)
 
         if self._iq_carry is None:
             pair = iq
         else:
             pair = np.concatenate([[self._iq_carry], iq])
+        # Keep this product as written: NumPy's complex multiply is not
+        # bitwise commutative, and whether it reuses the conj temporary
+        # as its output (swapping operands) depends on the array size.
         delta = np.angle(pair[1:] * np.conj(pair[:-1]))
         self._iq_carry = iq[-1]
         if self._first_delta and delta.size:
@@ -396,8 +422,9 @@ class FmLinkStream:
             # keep input and output lengths equal; do the same once.
             delta = np.concatenate([[delta[0]], delta])
             self._first_delta = False
-        mpx_rx = delta * self._rf_rate / (2.0 * np.pi * self._deviation)
-        return self._from_mpx_rx(mpx_rx)
+        delta *= self._rf_rate
+        delta /= 2.0 * np.pi * self._deviation
+        return self._from_mpx_rx(delta)
 
     def _from_mpx_rx(self, mpx_rx: np.ndarray) -> np.ndarray:
         return self._from_mono_mpx(self._down_rf.process(mpx_rx))

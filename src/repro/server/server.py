@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.imaging.codec import DecodeMemo
 from repro.server.cache import BundleStore, PageCache, bundle_key
 from repro.server.network import Station
 from repro.server.scheduler import (
@@ -83,6 +84,7 @@ class SonicServer:
         scheduler_config: SchedulerConfig = SchedulerConfig(),
         bundle_store: BundleStore | None = None,
         profile_selector: AdaptiveProfileSelector | None = None,
+        decode_memo: DecodeMemo | None = None,
     ) -> None:
         self.generator = generator
         self.transmitters = transmitters
@@ -102,6 +104,9 @@ class SonicServer:
         self._advised_profile: str | None = None
         self._stations: dict[str, Station] = {}
         self.stats = ServerStats()
+        # Store hits decode through the deployment's memo (SonicSystem),
+        # so the station's receivers reuse those pixels.
+        self._decode_memo = decode_memo
         gateway.register(config.sms_number, self._on_sms)
 
     # -- stations ---------------------------------------------------------------
@@ -163,7 +168,7 @@ class SonicServer:
         data = self.bundle_store.get(key)
         if data is not None:
             self.stats.store_hits += 1
-            bundle = PageBundle.from_bytes(data)
+            bundle = PageBundle.from_bytes(data, self._decode_memo)
         else:
             page = self.generator.page(url, hour)
             result = self.renderer.render(page)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.imaging.codec import SWebpCodec
+from repro.imaging.codec import DecodeMemo, SWebpCodec
 from repro.transport.framing import (
     Frame,
     FrameHeader,
@@ -52,8 +52,14 @@ class PageBundle:
         return head + url_bytes + click_bytes + image_bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "PageBundle":
+    def from_bytes(
+        cls, data: bytes, decode_memo: DecodeMemo | None = None
+    ) -> "PageBundle":
         """Parse and decode a serialised bundle.
+
+        With a ``decode_memo`` the image comes from (and goes into) that
+        memo, so its pixels are read-only and shared with every other
+        bundle decoded through it from the same image bytes.
 
         Raises ``ValueError`` for structural damage and
         :class:`repro.imaging.codec.CodecError` for image damage.
@@ -77,7 +83,10 @@ class PageBundle:
         clickmap = ClickMap.from_bytes(data[pos : pos + click_len])
         pos += click_len
         image_bytes = data[pos : pos + image_len]
-        image = SWebpCodec().decode(image_bytes)
+        if decode_memo is None:
+            image = SWebpCodec().decode(image_bytes)
+        else:
+            image = decode_memo.decode(image_bytes)
         quality = image_bytes[10]
         return cls(url, image, clickmap, expiry_hours=expiry, quality=quality)
 
