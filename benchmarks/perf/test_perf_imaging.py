@@ -13,14 +13,10 @@ Run explicitly:
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from benchmarks.conftest import full_scale, print_table
+from benchmarks.conftest import best_time, full_scale, print_table
 from repro.imaging.codec import SWebpCodec
 from repro.server.catalog import CatalogConfig, CatalogPipeline
 from repro.web.render import PageRenderer
@@ -28,32 +24,10 @@ from repro.web.sites import SiteGenerator
 
 pytestmark = pytest.mark.perf
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
-
-
-def _merge_section(name: str, section: dict) -> None:
-    data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    data[name] = section
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
 
 class TestSWebpDecodeThroughput:
-    def test_batch_vs_ref_decode(self):
-        """Batch decode vs the scalar walk on a rendered catalog page.
-
-        The spec (seed 42, 4 sites, 1080px wide, Q10) matches the
-        ``repro bench --smoke`` imaging gate — keep the two in sync.
-        """
+    def test_batch_vs_ref_decode(self, record):
+        """Batch decode vs the scalar walk on a rendered catalog page."""
         max_height = 4000 if full_scale() else 1600
         generator = SiteGenerator(seed=42, n_sites=4)
         renderer = PageRenderer(width=1080, max_height=max_height)
@@ -61,13 +35,10 @@ class TestSWebpDecodeThroughput:
         codec = SWebpCodec(10)
         encoded = codec.encode(image)
 
-        decoded = codec.decode(encoded)  # warm-up
-        reference = codec.decode_ref(encoded)
+        t_fast, decoded = best_time(lambda: codec.decode(encoded))
+        t_ref, reference = best_time(lambda: codec.decode_ref(encoded))
         assert np.array_equal(decoded, reference)  # bit-for-bit pinned
-
-        t_fast = _best_of(lambda: codec.decode(encoded))
-        t_ref = _best_of(lambda: codec.decode_ref(encoded), repeats=1)
-        t_encode = _best_of(lambda: codec.encode(image), repeats=1)
+        t_encode, _ = best_time(lambda: codec.encode(image))
 
         megapixels = image.shape[0] * image.shape[1] / 1e6
         section = {
@@ -80,7 +51,7 @@ class TestSWebpDecodeThroughput:
             "decode_speedup": t_ref / t_fast,
             "decode_megapixels_per_s": megapixels / t_fast,
         }
-        _merge_section("imaging", section)
+        record("imaging", section, {"decode_pages_per_s": 0.7})
         print_table(
             f"SWebp decode ({image.shape[0]}x{image.shape[1]} page, Q10)",
             ["path", "pages/s", "Mpx/s", "speedup"],
@@ -99,18 +70,23 @@ class TestSWebpDecodeThroughput:
 
 
 class TestCatalogThroughput:
-    def test_cold_vs_warm_and_pool_determinism(self):
+    def test_cold_vs_warm_and_pool_determinism(self, record):
         """Store-backed catalog pipeline: cold encode, warm reuse, pool parity.
 
-        The spec (seed 42, 2 sites, 360px wide, Q10) matches the
-        ``repro bench --smoke`` catalog gate — keep the two in sync.
+        Each cold repeat gets a fresh pipeline, so an empty store.
         """
         config = CatalogConfig(
             seed=42, n_sites=2, width=360, max_height=1200, quality=10
         )
-        pipeline = CatalogPipeline(config)
-        cold = pipeline.encode_catalog(hour=0, processes=1)
-        warm = pipeline.encode_catalog(hour=0, processes=1)
+
+        def cold_run():
+            pipeline = CatalogPipeline(config)
+            return pipeline, pipeline.encode_catalog(hour=0, processes=1)
+
+        t_cold, (pipeline, cold) = best_time(cold_run)
+        t_warm, warm = best_time(
+            lambda: pipeline.encode_catalog(hour=0, processes=1)
+        )
         assert warm.store_hits == warm.n_pages  # warm run never re-encodes
         assert [p.data for p in warm.pages] == [p.data for p in cold.pages]
 
@@ -122,23 +98,23 @@ class TestCatalogThroughput:
             "width": config.width,
             "quality": config.quality,
             "total_bytes": cold.total_bytes,
-            "cold_pages_per_s": cold.pages_per_s,
-            "warm_pages_per_s": warm.pages_per_s,
-            "warm_speedup": cold.elapsed_s / warm.elapsed_s,
+            "cold_pages_per_s": cold.n_pages / t_cold,
+            "warm_pages_per_s": warm.n_pages / t_warm,
+            "warm_speedup": t_cold / t_warm,
             "pool_pages_per_s": pooled.pages_per_s,
             "pool_processes": pooled.processes,
             "store_hits_warm": warm.store_hits,
         }
-        _merge_section("catalog", section)
+        record("catalog", section, {"cold_pages_per_s": 0.7})
         print_table(
             f"Catalog pipeline ({cold.n_pages} pages, {config.width}px, Q10)",
             ["path", "pages/s", "speedup"],
             [
-                ["cold encode", f"{cold.pages_per_s:.1f}", "1.0x"],
+                ["cold encode", f"{section['cold_pages_per_s']:.1f}", "1.0x"],
                 [f"pool ({pooled.processes})", f"{pooled.pages_per_s:.1f}",
-                 f"{cold.elapsed_s / pooled.elapsed_s:.2f}x"],
-                ["warm store", f"{warm.pages_per_s:.0f}",
-                 f"{cold.elapsed_s / warm.elapsed_s:.0f}x"],
+                 f"{t_cold / pooled.elapsed_s:.2f}x"],
+                ["warm store", f"{section['warm_pages_per_s']:.0f}",
+                 f"{section['warm_speedup']:.0f}x"],
             ],
         )
         assert section["warm_speedup"] > 10.0  # store hits skip render+encode

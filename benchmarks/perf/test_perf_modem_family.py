@@ -4,9 +4,10 @@ Times the post-sync decode stage of each baseline modem (FSK, GMSK,
 AudioQR): the preamble scan is shared by both paths and dominated by one
 ``np.correlate``, so the speedup that matters is scalar per-symbol
 decode (``_decode_peak_ref``, the seed implementation kept as golden
-reference) versus the vectorised ``decode_attempt``.  Results land in
-the ``modem_family`` section of ``BENCH_pipeline.json``; ``repro bench
---smoke`` gates on the per-modem speedups.
+reference) versus the vectorised ``decode_attempt``, each as the best
+call over :data:`~benchmarks.conftest.MIN_TIME_S` of repeats.  Results
+land in the ``modem_family`` section of ``BENCH_pipeline.json``;
+``repro bench --smoke`` gates on the per-modem speedups.
 
 Honest floors (1-core box, documented in DESIGN.md):
 
@@ -29,20 +30,13 @@ Run explicitly (tier-1 skips timing-sensitive tests):
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import best_time, print_table
 from repro.modem import AudioQrModem, FskModem, GmskModem
 
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 
 #: (modem class, payload sizes, gap, noise, speedup floor)
 SPECS = {
@@ -50,22 +44,6 @@ SPECS = {
     "gmsk": (GmskModem, [256] * 40, 2000, 0.01, 20.0),
     "audioqr": (AudioQrModem, [150] * 6, 1500, 0.01, 3.0),
 }
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Accumulates section results, merged into the shared JSON on teardown."""
-    data: dict = {}
-    yield data
-    merged: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            merged = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(data)
-    BENCH_JSON.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_JSON}")
 
 
 def build_capture(modem, payloads, gap, noise, seed):
@@ -78,7 +56,7 @@ def build_capture(modem, payloads, gap, noise, seed):
     return cap + noise * rng.standard_normal(cap.size)
 
 
-def decode_stage_times(modem, cap, repeats=3):
+def decode_stage_times(modem, cap):
     """(ref_s, batch_s, ref_msgs, batch_msgs) over the pre-scanned peaks."""
     peaks = modem.sync.scan(cap)  # shared by both paths; not timed
     offset = modem.sync.template.size
@@ -97,21 +75,13 @@ def decode_stage_times(modem, cap, repeats=3):
                 out.append(payload)
         return out
 
-    ref_msgs = run_ref()  # warm-up doubles as the correctness probe
-    batch_msgs = run_batch()
-    ref_best = batch_best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_ref()
-        ref_best = min(ref_best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_batch()
-        batch_best = min(batch_best, time.perf_counter() - t0)
-    return ref_best, batch_best, ref_msgs, batch_msgs
+    ref_s, ref_msgs = best_time(run_ref)
+    batch_s, batch_msgs = best_time(run_batch)
+    return ref_s, batch_s, ref_msgs, batch_msgs
 
 
 class TestModemFamilyDecode:
-    def test_decode_stage_speedups(self, results):
+    def test_decode_stage_speedups(self, record):
         rows = []
         section: dict = {}
         rng = np.random.default_rng(67)
@@ -138,12 +108,16 @@ class TestModemFamilyDecode:
                 name, str(len(sizes)), f"{ref_s * 1e3:.1f}",
                 f"{batch_s * 1e3:.1f}", f"{speedup:.1f}x", f">={floor:g}x",
             ])
-            assert speedup >= floor, (
-                f"{name} decode stage {speedup:.1f}x < {floor}x floor"
-            )
-        results["modem_family"] = section
         print_table(
             "Modem-family decode stage: scalar reference vs vectorised batch",
             ["modem", "msgs", "ref ms", "batch ms", "speedup", "floor"],
             rows,
         )
+        record(
+            "modem_family", section, {f"{name}.speedup": 0.7 for name in SPECS}
+        )
+        for name, row in section.items():
+            assert row["speedup"] >= row["floor"], (
+                f"{name} decode stage {row['speedup']:.1f}x < "
+                f"{row['floor']}x floor"
+            )

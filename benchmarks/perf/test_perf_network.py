@@ -5,8 +5,7 @@ Simulates a multi-region broadcast day through
 station-hours per wall-clock second, checks the sharded run reproduces
 the serial reference bit for bit (per-station ledger digests and
 schedule digests), and merges the numbers — including the honest
-per-station goodput floor the smoke gate enforces — into
-``BENCH_pipeline.json``.
+per-station goodput floor — into ``BENCH_pipeline.json``.
 
 Per-station backlog/goodput/latency reports are written to
 ``benchmarks/output/network_stations.json`` (uploaded as a CI artifact).
@@ -20,18 +19,13 @@ Run explicitly:
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import full_scale, print_table
+from benchmarks.conftest import best_time, full_scale, print_table
 from repro.server.network import NetworkConfig, run_network
 
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
 
 #: The smoke day keeps every carousel saturated, so each station must
 #: sustain at least half the slowest profile rung's payload rate.
@@ -39,15 +33,13 @@ GOODPUT_FLOOR_BPS = 1_500.0
 
 
 class TestBroadcastNetwork:
-    def test_network_throughput(self, output_dir):
+    def test_network_throughput(self, output_dir, record):
         if full_scale():
             config = NetworkConfig(n_stations=6, hours=24, tick_s=60.0, seed=42)
         else:
             config = NetworkConfig(n_stations=3, hours=6, tick_s=120.0, seed=42)
 
-        t0 = time.perf_counter()
-        serial = run_network(config)
-        elapsed = time.perf_counter() - t0
+        elapsed, serial = best_time(lambda: run_network(config))
         sharded = run_network(config, sharded=True)
 
         # Determinism contract: sharding is a pure execution detail.
@@ -56,8 +48,6 @@ class TestBroadcastNetwork:
             assert a.ledger_digest == b.ledger_digest
 
         min_goodput = min(s.goodput_bps for s in serial.stations)
-        assert min_goodput >= GOODPUT_FLOOR_BPS
-        assert all(s.n_broadcast > 0 for s in serial.stations)
 
         station_hours = config.n_stations * config.hours
         section = {
@@ -71,9 +61,6 @@ class TestBroadcastNetwork:
             "store_misses": serial.store_misses,
             "network_digest": serial.network_digest(),
         }
-        data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-        data["network"] = section
-        BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
         report_path = output_dir / "network_stations.json"
         report_path.write_text(
@@ -93,3 +80,6 @@ class TestBroadcastNetwork:
                 ["reports", report_path.name],
             ],
         )
+        record("network", section, {"station_hours_per_s": 0.7})
+        assert min_goodput >= GOODPUT_FLOOR_BPS
+        assert all(s.n_broadcast > 0 for s in serial.stations)

@@ -4,7 +4,8 @@ Times the three layers the PR optimised — Reed-Solomon block coding, the
 batched frame codec, and the end-to-end page -> waveform -> page chain —
 against their scalar/per-frame reference paths, and writes the numbers to
 ``BENCH_pipeline.json`` at the repository root so later PRs can track the
-perf trajectory.
+perf trajectory.  ``repro bench --smoke`` gates the receive rate
+(``end_to_end.rx_frames_per_s``) against that file.
 
 Run explicitly (tier-1 skips timing-sensitive tests):
 
@@ -14,82 +15,38 @@ Run explicitly (tier-1 skips timing-sensitive tests):
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from benchmarks.conftest import full_scale, print_table
+from benchmarks.conftest import best_time, full_scale, print_table
 from repro.core.pipeline import frames_to_waveform, waveform_to_frames
 from repro.fec.convolutional import CONV_V29
 from repro.fec.reed_solomon import ReedSolomon
 from repro.modem.frame import FrameCodec
 from repro.modem.modem import Modem
+from repro.sim.receivers import FleetConfig, run_fleet
 from repro.transport.framing import Frame, FrameHeader, FrameType
 
 pytestmark = pytest.mark.perf
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall-clock of ``repeats`` runs — robust to scheduler noise."""
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Accumulates section results and writes the JSON on teardown.
-
-    Writing in the finalizer (not the last test) means a filtered run
-    (``repro bench -k reed``) still persists whatever sections it timed.
-    """
-    data: dict = {}
-    yield data
-    data["meta"] = {
-        "bench": "pipeline",
-        "full_scale": full_scale(),
-        "written_by": "benchmarks/perf/test_perf_pipeline.py",
-    }
-    # Merge over whatever is already on disk so sections written by other
-    # benchmark modules (e.g. the fleet harness) survive this run.
-    merged: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            merged = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(data)
-    BENCH_JSON.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_JSON}")
-
 
 class TestReedSolomonThroughput:
-    def test_encode_decode_speedup(self, results):
+    def test_encode_decode_speedup(self, record):
         nsym = 16
         rs = ReedSolomon(nsym)
         n_blocks = 512 if full_scale() else 128
         rng = np.random.default_rng(7)
         data = rng.integers(0, 256, (n_blocks, 255 - nsym), dtype=np.uint8)
 
-        t_enc_vec = _best_of(lambda: rs.encode_blocks(data))
-        t_enc_ref = _best_of(
-            lambda: [rs.encode_ref(row.tobytes()) for row in data], repeats=1
+        t_enc_vec, coded = best_time(lambda: rs.encode_blocks(data))
+        t_enc_ref, _ = best_time(
+            lambda: [rs.encode_ref(row.tobytes()) for row in data]
         )
-        coded = rs.encode_blocks(data)
 
         # Clean-decode path (the broadcast common case).
-        t_dec_vec = _best_of(lambda: rs.decode_blocks(coded))
-        t_dec_ref = _best_of(
-            lambda: [rs.decode_ref(row.tobytes()) for row in coded], repeats=1
+        t_dec_vec, _ = best_time(lambda: rs.decode_blocks(coded))
+        t_dec_ref, _ = best_time(
+            lambda: [rs.decode_ref(row.tobytes()) for row in coded]
         )
 
         # Decode with t = nsym/2 errors per block (worst accepted load).
@@ -97,11 +54,11 @@ class TestReedSolomonThroughput:
         for i in range(n_blocks):
             pos = rng.choice(255, size=nsym // 2, replace=False)
             corrupted[i, pos] ^= rng.integers(1, 256, nsym // 2).astype(np.uint8)
-        t_err_vec = _best_of(lambda: rs.decode_blocks(corrupted), repeats=1)
-        t_err_ref = _best_of(
-            lambda: [rs.decode_ref(row.tobytes()) for row in corrupted], repeats=1
+        t_err_vec, decoded = best_time(lambda: rs.decode_blocks(corrupted))
+        t_err_ref, _ = best_time(
+            lambda: [rs.decode_ref(row.tobytes()) for row in corrupted]
         )
-        assert rs.decode_blocks(corrupted).all_ok
+        assert decoded.all_ok
 
         section = {
             "nsym": nsym,
@@ -117,7 +74,7 @@ class TestReedSolomonThroughput:
             "decode_errors_ref_blocks_per_s": n_blocks / t_err_ref,
             "decode_errors_speedup": t_err_ref / t_err_vec,
         }
-        results["reed_solomon"] = section
+        record("reed_solomon", section)
         print_table(
             "RS(255) throughput (vectorised vs scalar reference)",
             ["path", "blocks/s", "speedup"],
@@ -136,7 +93,7 @@ class TestReedSolomonThroughput:
 
 
 class TestViterbiThroughput:
-    def test_batched_vs_scalar_decode(self, results):
+    def test_batched_vs_scalar_decode(self, record):
         """Batched soft Viterbi vs the scalar golden reference.
 
         Times the two batch regimes separately: *clean* soft bits take the
@@ -154,17 +111,17 @@ class TestViterbiThroughput:
         clean = 1.0 - 2.0 * coded.astype(np.float64)
         noisy = clean + rng.normal(0.0, 0.6, clean.shape)
 
-        t_clean = _best_of(lambda: code.decode_soft_batch(clean, n_info))
-        t_noisy = _best_of(lambda: code.decode_soft_batch(noisy, n_info))
-        t_ref = _best_of(
-            lambda: [code.decode_soft_ref(row, n_info) for row in noisy],
-            repeats=1,
+        t_clean, clean_out = best_time(
+            lambda: code.decode_soft_batch(clean, n_info)
         )
-        assert (code.decode_soft_batch(clean, n_info) == bits).all()
-        assert (
-            code.decode_soft_batch(noisy, n_info)
-            == np.stack([code.decode_soft_ref(r, n_info) for r in noisy])
-        ).all()
+        t_noisy, noisy_out = best_time(
+            lambda: code.decode_soft_batch(noisy, n_info)
+        )
+        t_ref, ref_out = best_time(
+            lambda: [code.decode_soft_ref(row, n_info) for row in noisy]
+        )
+        assert (clean_out == bits).all()
+        assert (noisy_out == np.stack(ref_out)).all()
 
         section = {
             "constraint": 9,
@@ -176,7 +133,7 @@ class TestViterbiThroughput:
             "clean_speedup": t_ref / t_clean,
             "noisy_speedup": t_ref / t_noisy,
         }
-        results["viterbi"] = section
+        record("viterbi", section)
         print_table(
             "Soft Viterbi K=9 throughput (batched vs scalar reference)",
             ["path", "frames/s", "speedup"],
@@ -192,7 +149,7 @@ class TestViterbiThroughput:
 
 
 class TestFramePipelineThroughput:
-    def test_batch_vs_per_frame_codec(self, results):
+    def test_batch_vs_per_frame_codec(self, record):
         codec = FrameCodec()
         n_frames = 64 if full_scale() else 32
         rng = np.random.default_rng(11)
@@ -201,14 +158,11 @@ class TestFramePipelineThroughput:
             for _ in range(n_frames)
         ]
 
-        t_enc_batch = _best_of(lambda: codec.encode_batch(payloads))
-        t_enc_loop = _best_of(lambda: [codec.encode(p) for p in payloads])
-        bits = codec.encode_batch(payloads)
+        t_enc_batch, bits = best_time(lambda: codec.encode_batch(payloads))
+        t_enc_loop, _ = best_time(lambda: [codec.encode(p) for p in payloads])
         soft = 1.0 - 2.0 * bits.astype(np.float64)
-        t_dec_batch = _best_of(lambda: codec.decode_batch(soft))
-        t_dec_loop = _best_of(
-            lambda: [codec.decode(row) for row in soft], repeats=1
-        )
+        t_dec_batch, _ = best_time(lambda: codec.decode_batch(soft))
+        t_dec_loop, _ = best_time(lambda: [codec.decode(row) for row in soft])
 
         section = {
             "n_frames": n_frames,
@@ -220,7 +174,7 @@ class TestFramePipelineThroughput:
             "decode_loop_frames_per_s": n_frames / t_dec_loop,
             "decode_speedup": t_dec_loop / t_dec_batch,
         }
-        results["frame_codec"] = section
+        record("frame_codec", section)
         print_table(
             "Frame codec throughput (batch vs per-frame)",
             ["path", "frames/s", "speedup"],
@@ -236,7 +190,7 @@ class TestFramePipelineThroughput:
 
 
 class TestEndToEnd:
-    def test_page_roundtrip_and_write_json(self, results):
+    def test_page_roundtrip_and_write_json(self, record):
         modem = Modem("sonic-ofdm")
         n_frames = 48 if full_scale() else 24
         rng = np.random.default_rng(13)
@@ -248,18 +202,18 @@ class TestEndToEnd:
             for i in range(n_frames)
         ]
 
-        t_tx = _best_of(
-            lambda: frames_to_waveform(frames, modem, frames_per_burst=16),
-            repeats=2,
+        t_tx, wave = best_time(
+            lambda: frames_to_waveform(frames, modem, frames_per_burst=16)
         )
-        wave = frames_to_waveform(frames, modem, frames_per_burst=16)
-        t_rx = _best_of(
-            lambda: waveform_to_frames(wave, modem, frames_per_burst=16),
-            repeats=2,
+        t_rx, received = best_time(
+            lambda: waveform_to_frames(wave, modem, frames_per_burst=16)
         )
-        received = waveform_to_frames(wave, modem, frames_per_burst=16)
         delivered = sum(1 for f in received if f is not None)
         assert delivered == n_frames  # clean channel: everything decodes
+        fleet = run_fleet(
+            wave, FleetConfig(n_receivers=2, impairment="clean"), processes=1
+        )
+        assert fleet.mean_loss_rate == 0.0  # nor through the fleet harness
 
         payload_bits = n_frames * 100 * 8
         section = {
@@ -273,7 +227,7 @@ class TestEndToEnd:
             "realtime_factor_tx": (wave.size / modem.profile.ofdm.sample_rate) / t_tx,
             "realtime_factor_rx": (wave.size / modem.profile.ofdm.sample_rate) / t_rx,
         }
-        results["end_to_end"] = section
+        record("end_to_end", section, {"rx_frames_per_s": 0.7})
         print_table(
             "End-to-end page <-> waveform throughput",
             ["direction", "frames/s", "kbps", "x realtime"],

@@ -15,39 +15,17 @@ Run explicitly (tier-1 skips timing-sensitive tests):
 
 from __future__ import annotations
 
-import json
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import full_scale, print_table
+from benchmarks.conftest import best_time, full_scale, print_table
 from repro.core.stream import DEFAULT_CHUNK_SAMPLES, WaveformSource
 from repro.modem.modem import Modem
 from repro.modem.streaming import StreamingReceiver
 
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Accumulates section results, merged into the shared JSON on teardown."""
-    data: dict = {}
-    yield data
-    merged: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            merged = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(data)
-    BENCH_JSON.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_JSON}")
 
 
 def _payload_bursts(modem: Modem, n_bursts: int, frames_per_burst: int):
@@ -61,7 +39,7 @@ def _payload_bursts(modem: Modem, n_bursts: int, frames_per_burst: int):
 
 
 class TestStreamingThroughput:
-    def test_chunked_decode_rate_and_memory(self, results):
+    def test_chunked_decode_rate_and_memory(self, record):
         modem = Modem("sonic-ofdm")
         frames_per_burst = 16
         n_bursts = 4 if full_scale() else 2
@@ -79,22 +57,19 @@ class TestStreamingThroughput:
         assert sum(1 for f in batch_rx if f.ok) == n_frames
 
         # -- receive rate at the default 100 ms chunk -------------------
-        def stream_decode():
+        def stream_decode(chunk_samples=DEFAULT_CHUNK_SAMPLES):
             receiver = StreamingReceiver(modem, frames_per_burst=frames_per_burst)
             out = []
-            for i in range(0, wave.size, DEFAULT_CHUNK_SAMPLES):
-                out += receiver.push(wave[i : i + DEFAULT_CHUNK_SAMPLES])
+            for i in range(0, wave.size, chunk_samples):
+                out += receiver.push(wave[i : i + chunk_samples])
             return out + receiver.finish()
 
-        stream_decode()  # warm-up
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            stream_rx = stream_decode()
-            best = min(best, time.perf_counter() - t0)
+        best, stream_rx = best_time(stream_decode)
         n_chunks = -(-wave.size // DEFAULT_CHUNK_SAMPLES)
-        assert [f.payload for f in stream_rx] == [f.payload for f in batch_rx]
-        assert [f.start_index for f in stream_rx] == [f.start_index for f in batch_rx]
+        # Chunk parity: any chunking decodes exactly what the batch does.
+        for rx in (stream_rx, stream_decode(7777)):
+            assert [f.payload for f in rx] == [f.payload for f in batch_rx]
+            assert [f.start_index for f in rx] == [f.start_index for f in batch_rx]
 
         # -- peak working set: batch capture vs chunked dataflow --------
         tracemalloc.start()
@@ -128,7 +103,7 @@ class TestStreamingThroughput:
             "stream_peak_mb": stream_peak / 1e6,
             "memory_ratio": batch_peak / stream_peak,
         }
-        results["streaming"] = section
+        record("streaming", section, {"chunks_per_s": 0.7})
         print_table(
             "Streaming decode (100 ms chunks) vs whole-capture batch",
             ["metric", "value"],

@@ -5,10 +5,10 @@ chain) against the same sweep answered entirely by a warm
 :class:`~repro.sim.tournament.SweepStore` — the memoisation that makes
 re-running ``repro tournament`` after a config tweak cheap.  The
 frontier artifacts (JSON + SVG) land in ``benchmarks/output/`` so CI
-uploads them alongside the bench baseline.
+uploads them alongside the run's bench sections.
 
 Results land in the ``tournament`` section of ``BENCH_pipeline.json``;
-``repro bench --smoke`` gates on the warm/cold ratio (>= 100x).
+every run, ``--smoke`` or not, requires a warm/cold ratio >= 100x.
 
 Run explicitly (tier-1 skips timing-sensitive tests):
 
@@ -18,13 +18,11 @@ Run explicitly (tier-1 skips timing-sensitive tests):
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import OUTPUT_DIR, best_time, print_table
 from repro.sim.tournament import (
     TournamentConfig,
     run_tournament,
@@ -33,11 +31,6 @@ from repro.sim.tournament import (
 
 pytestmark = pytest.mark.perf
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pipeline.json"
-OUTPUT_DIR = REPO_ROOT / "benchmarks" / "output"
-
-#: Same spec as the `tournament` smoke gate in repro/cli.py.
 BENCH_SWEEP = dict(
     snr_grid_db=(-2.0, 2.0, 6.0, 12.0),
     distance_grid_m=(0.2, 0.8),
@@ -48,24 +41,8 @@ BENCH_SWEEP = dict(
 )
 
 
-@pytest.fixture(scope="module")
-def results():
-    """Accumulates section results, merged into the shared JSON on teardown."""
-    data: dict = {}
-    yield data
-    merged: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            merged = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(data)
-    BENCH_JSON.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_JSON}")
-
-
 class TestTournamentSweep:
-    def test_cold_vs_warm_store(self, results, tmp_path):
+    def test_cold_vs_warm_store(self, record, tmp_path):
         config = TournamentConfig(**BENCH_SWEEP, store_dir=str(tmp_path))
 
         t0 = time.perf_counter()
@@ -73,9 +50,7 @@ class TestTournamentSweep:
         t_cold = time.perf_counter() - t0
         assert cold.n_cached == 0
 
-        t0 = time.perf_counter()
-        warm = run_tournament(config, processes=1)
-        t_warm = time.perf_counter() - t0
+        t_warm, warm = best_time(lambda: run_tournament(config, processes=1))
         assert warm.n_cached == len(warm.cells)
         key = lambda c: (c.profile, c.axis, c.value, c.n_frames, c.n_lost)
         assert [key(c) for c in warm.cells] == [key(c) for c in cold.cells]
@@ -95,7 +70,7 @@ class TestTournamentSweep:
             "warm_speedup": ratio,
             "cells_per_s_cold": len(cold.cells) / t_cold,
         }
-        results["tournament"] = section
+        record("tournament", section)
         print_table(
             "Profile tournament: cold DSP sweep vs warm SweepStore",
             ["metric", "value"],

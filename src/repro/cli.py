@@ -649,593 +649,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_smoke(repo_root: Path) -> int:
-    """Fast perf regression gate against the checked-in baseline JSON."""
-    import json
-    import time
-
-    from repro.core.pipeline import frames_to_waveform, waveform_to_frames
-    from repro.modem.modem import Modem
-    from repro.sim.receivers import FleetConfig, run_fleet
-    from repro.transport.framing import Frame, FrameHeader, FrameType
-
-    bench_json = repo_root / "BENCH_pipeline.json"
-    if not bench_json.exists():
-        print("error: no checked-in BENCH_pipeline.json to compare against",
-              file=sys.stderr)
-        return 1
-    baseline = json.loads(bench_json.read_text())
-    if "end_to_end" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no end_to_end section — "
-            "run `python -m repro bench` once to establish the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    rx_base = baseline["end_to_end"]["rx_frames_per_s"]
-
-    modem = Modem("sonic-ofdm")
-    n_frames = 24
-    rng = np.random.default_rng(13)
-    frames = [
-        Frame(
-            FrameHeader(FrameType.BUNDLE_BYTES, page_id=1, seq=i, total=n_frames),
-            rng.integers(0, 256, 83, dtype=np.uint8).tobytes(),
-        )
-        for i in range(n_frames)
-    ]
-    wave = frames_to_waveform(frames, modem, frames_per_burst=16)
-    received = waveform_to_frames(wave, modem, frames_per_burst=16)  # warm-up
-    best = np.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        received = waveform_to_frames(wave, modem, frames_per_burst=16)
-        best = min(best, time.perf_counter() - t0)
-    delivered = sum(1 for f in received if f is not None)
-    rx_now = n_frames / best
-
-    fleet = run_fleet(
-        wave, FleetConfig(n_receivers=2, impairment="clean"), processes=1
-    )
-
-    print(f"receiver decode: {rx_now:.0f} frames/s "
-          f"(baseline {rx_base:.0f}, {rx_now / rx_base:.2f}x)")
-    print(f"fleet harness:   {fleet.receivers_per_s:.1f} receivers/s, "
-          f"mean loss {fleet.mean_loss_rate * 100:.0f}%")
-    if delivered != n_frames:
-        print(f"error: clean channel delivered {delivered}/{n_frames} frames",
-              file=sys.stderr)
-        return 1
-    if fleet.mean_loss_rate > 0:
-        print("error: clean fleet lost frames", file=sys.stderr)
-        return 1
-    if rx_now < 0.7 * rx_base:
-        print(
-            f"error: receiver decode regressed >30% "
-            f"({rx_now:.0f} vs baseline {rx_base:.0f} frames/s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    # --- imaging gate: batch SWebp decode (same spec as the bench) ---
-    from repro.imaging.codec import SWebpCodec
-    from repro.web.render import PageRenderer
-    from repro.web.sites import SiteGenerator
-
-    if "imaging" not in baseline or "catalog" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no imaging/catalog section — "
-            "run `python -m repro bench` once to establish the baseline",
-            file=sys.stderr,
-        )
-        return 1
-
-    gen = SiteGenerator(seed=42, n_sites=4)
-    page_img = PageRenderer(width=1080, max_height=1600).render(
-        gen.page(gen.all_urls()[0], 0)
-    ).image
-    codec = SWebpCodec(10)
-    encoded = codec.encode(page_img)
-    codec.decode(encoded)  # warm-up
-    best = np.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        image = codec.decode(encoded)
-        best = min(best, time.perf_counter() - t0)
-    decode_base = baseline["imaging"]["decode_pages_per_s"]
-    decode_now = 1.0 / best
-    print(f"swebp decode:    {decode_now:.1f} pages/s "
-          f"(baseline {decode_base:.1f}, {decode_now / decode_base:.2f}x)")
-    if not np.array_equal(image, codec.decode_ref(encoded)):
-        print("error: batch decode diverged from decode_ref", file=sys.stderr)
-        return 1
-    if decode_now < 0.7 * decode_base:
-        print(
-            f"error: batch SWebp decode regressed >30% "
-            f"({decode_now:.1f} vs baseline {decode_base:.1f} pages/s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    # --- catalog gate: store-backed pipeline (same spec as the bench) ---
-    from repro.server.catalog import CatalogConfig, CatalogPipeline
-
-    pipeline = CatalogPipeline(
-        CatalogConfig(seed=42, n_sites=2, width=360, max_height=1200, quality=10)
-    )
-    t0 = time.perf_counter()
-    cold = pipeline.encode_catalog(hour=0, processes=1)
-    t_cold = time.perf_counter() - t0
-    warm = pipeline.encode_catalog(hour=0, processes=1)
-    cold_base = baseline["catalog"]["cold_pages_per_s"]
-    cold_now = cold.n_pages / t_cold
-    print(f"catalog encode:  {cold_now:.1f} pages/s cold "
-          f"(baseline {cold_base:.1f}, {cold_now / cold_base:.2f}x), "
-          f"{warm.store_hits}/{warm.n_pages} warm store hits")
-    if warm.store_hits != warm.n_pages:
-        print("error: warm catalog run re-encoded pages", file=sys.stderr)
-        return 1
-    if [p.data for p in warm.pages] != [p.data for p in cold.pages]:
-        print("error: warm catalog bytes differ from cold run", file=sys.stderr)
-        return 1
-    if cold_now < 0.7 * cold_base:
-        print(
-            f"error: catalog encode regressed >30% "
-            f"({cold_now:.1f} vs baseline {cold_base:.1f} pages/s)",
-            file=sys.stderr,
-        )
-        return 1
-    # --- streaming gate: chunked decode parity + rate ---
-    from repro.modem.streaming import StreamingReceiver
-
-    if "streaming" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no streaming section — "
-            "run `python -m repro bench` once to establish the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    batch_rx = modem.receive(wave, frames_per_burst=16)
-    best = np.inf
-    base_chunks = 0
-    for chunk_samples in (4800, 7777):
-        receiver = StreamingReceiver(modem, frames_per_burst=16)
-        stream_rx = []
-        t0 = time.perf_counter()
-        n_chunks = 0
-        for i in range(0, wave.size, chunk_samples):
-            stream_rx += receiver.push(wave[i : i + chunk_samples])
-            n_chunks += 1
-        stream_rx += receiver.finish()
-        if chunk_samples == 4800:  # rate is defined at the default chunk size
-            best = min(best, time.perf_counter() - t0)
-            base_chunks = n_chunks
-        same = len(stream_rx) == len(batch_rx) and all(
-            s.payload == b.payload and s.start_index == b.start_index
-            for s, b in zip(stream_rx, batch_rx)
-        )
-        if not same:
-            print(
-                f"error: streaming decode (chunk={chunk_samples}) diverged "
-                "from Modem.receive",
-                file=sys.stderr,
-            )
-            return 1
-    chunks_base = baseline["streaming"]["chunks_per_s"]
-    chunks_now = base_chunks / best
-    print(f"streaming rx:    {chunks_now:.0f} chunks/s "
-          f"(baseline {chunks_base:.0f}, {chunks_now / chunks_base:.2f}x), "
-          f"parity ok at 2 chunk sizes")
-    if chunks_now < 0.7 * chunks_base:
-        print(
-            f"error: streaming decode regressed >30% "
-            f"({chunks_now:.0f} vs baseline {chunks_base:.0f} chunks/s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    # --- population gate: Tier-2 statistical fleet rate + determinism ---
-    import dataclasses
-
-    from repro.radio.lossmodel import FrameLossModel
-    from repro.sim.population import PopulationConfig, run_population
-
-    if "fleet_population" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no fleet_population section — "
-            "run `python -m repro bench -k fleet` once to establish the "
-            "baseline",
-            file=sys.stderr,
-        )
-        return 1
-    pop_config = PopulationConfig(n_receivers=100_000, hours=48.0, master_seed=7)
-    pop = run_population(FrameLossModel(), pop_config)
-    rechunked = run_population(
-        FrameLossModel(), dataclasses.replace(pop_config, chunk_receivers=37_013)
-    )
-    pop_base = baseline["fleet_population"]["receiver_frames_per_s"]
-    pop_now = pop.receiver_frames_per_s
-    print(f"population:      {pop_now:.2e} receiver-frames/s "
-          f"(baseline {pop_base:.2e}, {pop_now / pop_base:.2f}x)")
-    if not np.array_equal(pop.loss_rates, rechunked.loss_rates):
-        print("error: population results depend on chunk partitioning",
-              file=sys.stderr)
-        return 1
-    if pop_now < 1e6:
-        print(
-            f"error: population tier below the 1e6 receiver-frames/s floor "
-            f"({pop_now:.2e})",
-            file=sys.stderr,
-        )
-        return 1
-    if pop_now < 0.7 * pop_base:
-        print(
-            f"error: population tier regressed >30% "
-            f"({pop_now:.2e} vs baseline {pop_base:.2e} receiver-frames/s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    # --- request front end gate: batched SMS ingest rate + determinism ---
-    from repro.server.frontend import (
-        FrontendConfig,
-        RequestFrontend,
-        SizeModelResolver,
-    )
-    from repro.sim.workload import RequestTraceConfig, generate_requests
-
-    if "request_frontend" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no request_frontend section — "
-            "run `python -m repro bench -k frontend` once to establish the "
-            "baseline",
-            file=sys.stderr,
-        )
-        return 1
-
-    from repro.server.ledger import RequestLedger
-
-    def _frontend(trace, serial=False, ledger=None):
-        fe = RequestFrontend(
-            SizeModelResolver(
-                SiteGenerator(seed=7, n_sites=25), max_page_bytes=12 * 1024
-            ),
-            FrontendConfig(),
-            ledger=ledger,
-        )
-        return fe, fe.run(trace, serial=serial)
-
-    # The smoke day's ledger lands next to the other bench artifacts so
-    # CI can upload it and a failing latency number can be dissected.
-    ledger_dir = repo_root / "benchmarks" / "output"
-    ledger_dir.mkdir(exist_ok=True)
-    ledger_path = ledger_dir / "request_ledger.sqlite"
-    ledger_path.unlink(missing_ok=True)
-    trace = generate_requests(
-        RequestTraceConfig(hours=4.0, n_pages=100, n_requests=100_000, seed=42)
-    )
-    fe, res = _frontend(trace, ledger=RequestLedger(ledger_path))
-    fe.ledger.reconcile()
-    fe.ledger.close()
-    fe_base = baseline["request_frontend"]["requests_per_s"]
-    print(
-        f"request ingest:  {res.requests_per_s:,.0f} req/s "
-        f"(baseline {fe_base:,.0f}, {res.requests_per_s / fe_base:.2f}x), "
-        f"p50/p99 {res.p50_latency_s:.0f}/{res.p99_latency_s:.0f}s "
-        f"at {res.n_requests:,} queued requests"
-    )
-    if res.served_fraction < 1.0:
-        print(
-            f"error: front end served only "
-            f"{100 * res.served_fraction:.2f}% of requests",
-            file=sys.stderr,
-        )
-        return 1
-    if res.requests_per_s < 1e5:
-        print(
-            f"error: request ingest below the 1e5 requests/s floor "
-            f"({res.requests_per_s:,.0f})",
-            file=sys.stderr,
-        )
-        return 1
-    if res.requests_per_s < 0.7 * fe_base:
-        print(
-            f"error: request ingest regressed >30% "
-            f"({res.requests_per_s:,.0f} vs baseline {fe_base:,.0f} req/s)",
-            file=sys.stderr,
-        )
-        return 1
-    small = generate_requests(
-        RequestTraceConfig(hours=2.0, n_pages=100, n_requests=20_000, seed=3)
-    )
-    fe_async, _ = _frontend(small)
-    fe_serial, _ = _frontend(small, serial=True)
-    if fe_async.ledger.digest() != fe_serial.ledger.digest():
-        print(
-            "error: async-batched ledger diverged from the serial reference",
-            file=sys.stderr,
-        )
-        return 1
-    print("request ledger:  serial == async-batched (digest match)")
-
-    # --- serve_catalog gate: full-fidelity resolve, pipelined == serial ---
-    from repro.server.cache import BundleStore
-    from repro.server.catalog import CatalogConfig, CatalogPipeline
-    from repro.server.frontend import CatalogResolver
-
-    if "serve_catalog" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no serve_catalog section — "
-            "run `python -m repro bench -k serve_catalog` once to establish "
-            "the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    sc_base = baseline["serve_catalog"]["requests_per_s"]
-    cat_trace = generate_requests(
-        RequestTraceConfig(hours=2.0, n_pages=12, n_requests=6_000, seed=42)
-    )
-
-    def _catalog_frontend(serial=False, persistent=False):
-        pipeline = CatalogPipeline(
-            CatalogConfig(seed=42, n_sites=3, width=360, max_height=600,
-                          quality=10),
-            store=BundleStore(),
-        )
-        if persistent:
-            pipeline.start()  # host-sized: subprocess pool or inline worker
-        fe = RequestFrontend(
-            CatalogResolver(pipeline, processes=2), FrontendConfig()
-        )
-        res = fe.run(cat_trace, serial=serial)
-        digest = fe.ledger.digest()
-        pipeline.close()
-        fe.ledger.close()
-        return res, digest, pipeline.store
-
-    _, d_serial, store_serial = _catalog_frontend(serial=True)
-    sc_res, d_pipe, store_pipe = _catalog_frontend(persistent=True)
-    if d_pipe != d_serial:
-        print(
-            "error: pipelined catalog ledger diverged from the serial "
-            "reference",
-            file=sys.stderr,
-        )
-        return 1
-    if not store_pipe.superset_of(store_serial):
-        print(
-            "error: pipelined bundle store diverged from the serial "
-            "reference (bundle bytes differ)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"catalog serve:   {sc_res.requests_per_s:,.0f} req/s "
-        f"(baseline {sc_base:,.0f}, {sc_res.requests_per_s / sc_base:.2f}x), "
-        f"serial == pipelined (digest match)"
-    )
-    if sc_res.requests_per_s < 0.5 * sc_base:
-        print(
-            f"error: catalog serve regressed >50% "
-            f"({sc_res.requests_per_s:,.0f} vs baseline {sc_base:,.0f} "
-            f"req/s)",
-            file=sys.stderr,
-        )
-        return 1
-    # --- modem family gate: vectorised decode stage vs scalar reference ---
-    from repro.modem import AudioQrModem, FskModem, GmskModem
-
-    if "modem_family" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no modem_family section — "
-            "run `python -m repro bench -k modem_family` once to establish "
-            "the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    # Same specs as benchmarks/perf/test_perf_modem_family.py.  The fsk
-    # decode stage is tens of ms, so a single pass is all timing noise —
-    # it gets best-of-5; the multi-second gmsk/audioqr stages have floor
-    # headroom well beyond single-pass jitter.
-    family_specs = {
-        "fsk": (FskModem, [220] * 8, 1500, 5),
-        "gmsk": (GmskModem, [256] * 40, 2000, 1),
-        "audioqr": (AudioQrModem, [150] * 6, 1500, 1),
-    }
-    fam_rng = np.random.default_rng(67)
-    for i, (name, (cls, sizes, gap, repeats)) in enumerate(family_specs.items()):
-        fam_modem = cls()
-        payloads = [
-            bytes(fam_rng.integers(0, 256, n, dtype=np.uint8)) for n in sizes
-        ]
-        cap_rng = np.random.default_rng(70 + i)
-        parts = [np.zeros(1200)]
-        for p in payloads:
-            parts.append(fam_modem.transmit(p))
-            parts.append(np.zeros(gap))
-        cap = np.concatenate(parts)
-        cap = cap + 0.01 * cap_rng.standard_normal(cap.size)
-        peaks = fam_modem.sync.scan(cap)  # shared by both paths; untimed
-        offset = fam_modem.sync.template.size
-
-        def run_ref():
-            return [
-                m for start, _ in peaks
-                if (m := fam_modem._decode_peak_ref(cap, start)) is not None
-            ]
-
-        def run_batch():
-            out = []
-            for start, _ in peaks:
-                status, payload = fam_modem.decode_attempt(
-                    cap[start + offset:], eos=True
-                )
-                if status == "done" and payload is not None:
-                    out.append(payload)
-            return out
-
-        ref_msgs = run_ref()  # warm-up doubles as the correctness probe
-        batch_msgs = run_batch()
-        ref_s = batch_s = np.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run_ref()
-            ref_s = min(ref_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            run_batch()
-            batch_s = min(batch_s, time.perf_counter() - t0)
-        fam_base = baseline["modem_family"][name]
-        speedup = ref_s / batch_s
-        print(f"{name + ' decode:':<17}{speedup:.1f}x vs scalar ref "
-              f"(baseline {fam_base['speedup']:.1f}x, floor "
-              f"{fam_base['floor']:g}x), {len(batch_msgs)} messages")
-        if batch_msgs != ref_msgs or batch_msgs != payloads:
-            print(f"error: {name} batch decode diverged from scalar reference",
-                  file=sys.stderr)
-            return 1
-        if speedup < fam_base["floor"]:
-            print(
-                f"error: {name} decode stage below its {fam_base['floor']:g}x "
-                f"floor ({speedup:.1f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        if speedup < 0.7 * fam_base["speedup"]:
-            print(
-                f"error: {name} decode speedup regressed >30% "
-                f"({speedup:.1f}x vs baseline {fam_base['speedup']:.1f}x)",
-                file=sys.stderr,
-            )
-            return 1
-
-    # --- tournament gate: warm SweepStore answers the whole sweep ---
-    import tempfile
-
-    from repro.sim.tournament import TournamentConfig, run_tournament
-
-    if "tournament" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no tournament section — "
-            "run `python -m repro bench -k tournament` once to establish "
-            "the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    with tempfile.TemporaryDirectory() as sweep_dir:
-        # Same spec as benchmarks/perf/test_perf_tournament.py.
-        sweep_config = TournamentConfig(
-            snr_grid_db=(-2.0, 2.0, 6.0, 12.0),
-            distance_grid_m=(0.2, 0.8),
-            rssi_grid_dbm=(-70.0, -88.0),
-            payload_bytes=24,
-            n_messages=4,
-            master_seed=11,
-            store_dir=sweep_dir,
-        )
-        t0 = time.perf_counter()
-        cold_sweep = run_tournament(sweep_config, processes=1)
-        t_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm_sweep = run_tournament(sweep_config, processes=1)
-        t_warm = time.perf_counter() - t0
-    sweep_base = baseline["tournament"]["warm_speedup"]
-    sweep_ratio = t_cold / t_warm
-    print(f"tournament:      {len(cold_sweep.cells)} cells, warm store "
-          f"{sweep_ratio:.0f}x vs cold (baseline {sweep_base:.0f}x)")
-    cell_key = lambda c: (c.profile, c.axis, c.value, c.n_frames, c.n_lost)
-    if [cell_key(c) for c in warm_sweep.cells] != [
-        cell_key(c) for c in cold_sweep.cells
-    ]:
-        print("error: warm tournament cells differ from the cold sweep",
-              file=sys.stderr)
-        return 1
-    if warm_sweep.n_cached != len(warm_sweep.cells):
-        print("error: warm tournament re-measured cells", file=sys.stderr)
-        return 1
-    frontier_profiles = {row["profile"] for row in cold_sweep.frontier()}
-    if frontier_profiles != set(sweep_config.profiles):
-        print("error: frontier does not cover every profile", file=sys.stderr)
-        return 1
-    from repro.sim.tournament import write_frontier_report
-
-    write_frontier_report(
-        cold_sweep,
-        ledger_dir / "frontier.json",
-        ledger_dir / "frontier.svg",
-    )
-    print(f"frontier:        {ledger_dir / 'frontier.json'} (+ .svg)")
-    if sweep_ratio < 100.0:
-        print(
-            f"error: warm SweepStore below the 100x floor ({sweep_ratio:.0f}x)",
-            file=sys.stderr,
-        )
-        return 1
-
-    # --- network gate: multi-station day, serial == sharded digests ---
-    from repro.server.network import NetworkConfig, run_network
-
-    if "network" not in baseline:
-        print(
-            "error: BENCH_pipeline.json has no network section — "
-            "run `python -m repro bench -k network` once to establish "
-            "the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    net_config = NetworkConfig(n_stations=3, hours=6, tick_s=120.0, seed=42)
-    t0 = time.perf_counter()
-    net_serial = run_network(net_config)
-    t_net = time.perf_counter() - t0
-    net_sharded = run_network(net_config, sharded=True)
-    net_base = baseline["network"]
-    station_hours_per_s = net_config.n_stations * net_config.hours / t_net
-    min_goodput = min(s.goodput_bps for s in net_serial.stations)
-    print(
-        f"network:         {net_config.n_stations} stations x "
-        f"{net_config.hours}h in {t_net:.2f}s "
-        f"({station_hours_per_s:.0f} station-hours/s, baseline "
-        f"{net_base['station_hours_per_s']:.0f}), "
-        f"min goodput {min_goodput / 1e3:.1f} kbps"
-    )
-    if net_serial.network_digest() != net_sharded.network_digest():
-        print(
-            "error: sharded network run diverged from the serial reference "
-            "(ledger/schedule digests differ)",
-            file=sys.stderr,
-        )
-        return 1
-    print("network ledgers: serial == sharded (digest match)")
-    # Honest floor: the smoke day's demand keeps every carousel busy, so
-    # each station must sustain at least half the slowest profile's rate.
-    if min_goodput < net_base["goodput_floor_bps"]:
-        print(
-            f"error: station goodput below the "
-            f"{net_base['goodput_floor_bps']:.0f} bps floor "
-            f"({min_goodput:.0f} bps)",
-            file=sys.stderr,
-        )
-        return 1
-    if station_hours_per_s < 0.7 * net_base["station_hours_per_s"]:
-        print(
-            f"error: network simulation regressed >30% "
-            f"({station_hours_per_s:.0f} vs baseline "
-            f"{net_base['station_hours_per_s']:.0f} station-hours/s)",
-            file=sys.stderr,
-        )
-        return 1
-    # Per-station reports land next to the other bench artifacts so CI
-    # uploads them (backlog/goodput per station, digests included).
-    (ledger_dir / "network_stations.json").write_text(
-        json.dumps(net_serial.to_json_dict(), indent=2) + "\n"
-    )
-    print(f"station reports: {ledger_dir / 'network_stations.json'}")
-
-    print("perf smoke ok")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf benchmarks (pytest -m perf) and report the JSON path."""
+    """Run the perf benchmarks (pytest -m perf) and report the JSON path.
+
+    ``--smoke`` runs the same benchmarks but compares each section with
+    the checked-in ``BENCH_pipeline.json`` instead of writing it.
+    """
     import pytest
 
     bench_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
@@ -1248,15 +667,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.smoke:
-        return _bench_smoke(bench_dir.parents[1])
     argv = ["-m", "perf", "-s", "-q", str(bench_dir)]
     if args.keyword:
         argv += ["-k", args.keyword]
+    if args.smoke:
+        argv.append("--smoke")
     code = pytest.main(argv)
-    out = bench_dir.parents[1] / "BENCH_pipeline.json"
-    if code == 0 and out.exists():
-        print(f"\nresults -> {out}")
+    if code == 0 and not args.smoke:
+        print(f"\nresults -> {bench_dir.parents[1] / 'BENCH_pipeline.json'}")
     return code
 
 
@@ -1448,8 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", dest="keyword", default=None,
                    help="pytest -k expression to select benchmarks")
     p.add_argument("--smoke", action="store_true",
-                   help="quick gate: fail if receiver decode regressed >30%% "
-                        "vs the checked-in BENCH_pipeline.json")
+                   help="regression gate: run the same benchmarks, compare "
+                        "each section with the checked-in "
+                        "BENCH_pipeline.json and write nothing to it")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

@@ -638,8 +638,8 @@ class RequestFrontend:
         events) whenever a render hasn't finished.  Everything resolved
         ahead of time is pure in (url, hour), and all state mutation
         stays on the event-loop thread at tick boundaries — which is why
-        the ledger digest is identical to the serial driver's, and the
-        smoke gate holds it there.
+        the ledger digest is identical to the serial driver's, which the
+        ``serve_catalog`` perf benchmark checks.
         """
         cfg = self.config
         resolver = self.resolver

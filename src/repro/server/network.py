@@ -19,8 +19,9 @@ model into that network:
   scheduler rebalances only at epoch boundaries, so the sharded run —
   stations stepped by a worker pool, or inline in any order — is
   bit-identical to the serial run: same per-station ledger digests,
-  same schedule digests.  That determinism contract is the gate
-  ``repro bench --smoke`` enforces.
+  same schedule digests.  ``benchmarks/perf/test_perf_network.py``
+  checks that contract on every ``repro bench`` and ``repro bench
+  --smoke`` run.
 
 Profile adaptation happens at carousel-cycle boundaries: when every
 page queued at the start of a cycle has finished transmitting, the
