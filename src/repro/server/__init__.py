@@ -28,7 +28,6 @@ from repro.server.network import (
     NetworkConfig,
     NetworkResult,
     RegionSpec,
-    Station,
     StationReport,
     run_network,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkResult",
     "RegionSpec",
-    "Station",
     "StationReport",
     "run_network",
     "SonicServer",

@@ -5,15 +5,13 @@ infrastructure consists of multiple transmitters (and frequencies) at
 different locations" (Section 3.1).  This module grows the single-server
 model into that network:
 
-* :class:`Station` — the per-region serving unit extracted out of
-  :class:`~repro.server.server.SonicServer`: a transmitter set, the
-  carousel(s) they drain, an :class:`AdaptiveProfileSelector`, and a
-  view of the region's :class:`~repro.server.ledger.RequestLedger`.
 * :class:`BroadcastNetwork` — N regional stations over one shared
   :class:`~repro.server.cache.BundleStore` (a page encoded for Lahore is
   never re-encoded for Karachi), scheduled by a
   :class:`~repro.server.scheduler.DemandScheduler` fed from each
-  region's measured SMS demand.
+  region's measured SMS demand.  Each station is one picklable
+  ``_SimCore`` (its carousel, profile selector and bookkeeping) plus
+  the region's :class:`~repro.server.ledger.RequestLedger`.
 * :func:`run_network` — an epoch-synchronous broadcast-day simulation.
   Stations evolve *independently within an epoch* (one hour) and the
   scheduler rebalances only at epoch boundaries, so the sharded run —
@@ -47,13 +45,7 @@ from repro.server.scheduler import (
     DemandScheduler,
     schedule_digest,
 )
-from repro.server.transmitters import Transmitter, TransmitterRegistry
-from repro.sim.geometry import (
-    Location,
-    PopulationGeometry,
-    RegionPartition,
-    distance_km,
-)
+from repro.sim.geometry import Location, PopulationGeometry, RegionPartition
 from repro.sim.workload import PageSizeModel, RequestTraceConfig, generate_requests
 from repro.sms.protocol import LinkReport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
@@ -65,7 +57,6 @@ __all__ = [
     "DEFAULT_PROFILE_LADDER",
     "DEFAULT_REGIONS",
     "RegionSpec",
-    "Station",
     "NetworkConfig",
     "StationReport",
     "NetworkResult",
@@ -122,106 +113,6 @@ DEFAULT_REGIONS: tuple[RegionSpec, ...] = (
     RegionSpec("hyderabad", Location(25.3960, 68.3578), rate_per_s=0.025),
     RegionSpec("quetta", Location(30.1798, 66.9750), rate_per_s=0.02),
 )
-
-
-class Station:
-    """Per-region serving unit: transmitters, selector, ledger view.
-
-    This is the state :class:`~repro.server.server.SonicServer` used to
-    hold monolithically; the server now routes every enqueue through the
-    owning station, and :class:`BroadcastNetwork` owns one ``Station``
-    per region outright.
-    """
-
-    def __init__(
-        self,
-        station_id: str,
-        transmitters: list[Transmitter],
-        selector: AdaptiveProfileSelector | None = None,
-        ledger: RequestLedger | None = None,
-    ) -> None:
-        self.station_id = station_id
-        self.transmitters = list(transmitters)
-        for tx in self.transmitters:
-            if tx.station != station_id:
-                raise ValueError(
-                    f"transmitter {tx.station_id} belongs to {tx.station},"
-                    f" not {station_id}"
-                )
-        self.selector = selector
-        self.ledger = ledger
-        self.advised_profile: str | None = None
-        self.profile_switches = 0
-
-    def covering(self, where: Location) -> Transmitter | None:
-        """The station's nearest transmitter covering ``where``."""
-        candidates = [tx for tx in self.transmitters if tx.covers(where)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda tx: distance_km(tx.location, where))
-
-    def enqueue(
-        self,
-        tx: Transmitter,
-        url: str,
-        data: bytes,
-        priority: float,
-        page_id: int,
-        transport,
-        version: int = 0,
-        with_frames: bool = True,
-    ) -> None:
-        """Queue ``data`` on one of this station's carousels.
-
-        Frame chunking goes through the transmitter's broadcast encode
-        cache, so a repeat broadcast of byte-identical content reuses
-        the previously chunked frames.
-        """
-        from repro.server.transmitters import payload_digest
-
-        if tx not in self.transmitters:
-            raise ValueError(f"{tx.station_id} is not a {self.station_id} transmitter")
-        digest = payload_digest(data)
-        frames = (
-            tx.cache.frames(
-                data,
-                page_id=page_id,
-                version=version,
-                transport=transport,
-                digest=digest,
-            )
-            if with_frames
-            else None
-        )
-        tx.carousel.enqueue(
-            CarouselItem(
-                url, len(data), priority=priority, frames=frames, digest=digest
-            )
-        )
-
-    def observe_report(self, report: LinkReport) -> str | None:
-        """Fold a receiver report into this station's selector.
-
-        Returns the advised profile (None without a selector) and counts
-        advice changes as profile switches.
-        """
-        if self.selector is None:
-            return None
-        self.selector.observe(report)
-        choice = self.selector.select(report.snr_db)
-        if choice != self.advised_profile:
-            if self.advised_profile is not None:
-                self.profile_switches += 1
-            self.advised_profile = choice
-        return choice
-
-    def demand_snapshot(
-        self, since: float | None = None, until: float | None = None
-    ) -> dict[int, int]:
-        """Per-URL demand from the station's ledger (empty without one)."""
-        if self.ledger is None:
-            return {}
-        return self.ledger.demand_counts(since=since, until=until)
 
 
 @dataclass(frozen=True)
@@ -325,6 +216,7 @@ class _SimCore:
 
     station_id: str
     urls: tuple[str, ...]
+    url_index: dict[str, int]
     carousel: BroadcastCarousel
     selector: AdaptiveProfileSelector
     profile_rates: dict[str, float]
@@ -417,7 +309,7 @@ def _step_station_epoch(
         completed = carousel.drain(tick_s)
         done_ids: list[int] = []
         for url in completed:
-            u = core.urls.index(url) if url in core.urls else None
+            u = core.url_index.get(url)
             if u is not None and u in core.pending:
                 done_ids.extend(core.pending.pop(u))
         if done_ids:
@@ -436,7 +328,7 @@ def _step_station_epoch(
                 core.profile = choice
                 carousel.rate_bps = core.profile_rates[choice]
                 core.profile_switches += 1
-            core.cycle_pending = {item.url for item in carousel._queue}
+            core.cycle_pending = {item.url for item in carousel.items()}
             core.cycle_ticks = 0
 
         core.backlog_samples.append(carousel.backlog_bytes())
@@ -536,10 +428,10 @@ class NetworkResult:
 class BroadcastNetwork:
     """N regional stations over one shared bundle store.
 
-    Owns the registry (one transmitter per region, grouped by station),
-    the per-region ledgers, the region-local Tranco priors, and the
+    Owns the per-region ledgers, the region-local Tranco priors, and the
     :class:`DemandScheduler` that allocates pages to stations at every
-    epoch boundary.
+    epoch boundary.  Each station's simulated state is one ``_SimCore``,
+    built fresh by :meth:`run`.
     """
 
     def __init__(self, config: NetworkConfig = NetworkConfig()) -> None:
@@ -549,28 +441,8 @@ class BroadcastNetwork:
         self.urls: tuple[str, ...] = tuple(self.generator.all_urls())
         self.size_model = PageSizeModel(self.generator, quality=config.quality)
         self.store = BundleStore(capacity=4 * config.n_pages)
-        self.registry = TransmitterRegistry()
-        self.stations: dict[str, Station] = {}
-        self.ledgers: dict[str, RequestLedger] = {}
-        priors: dict[str, np.ndarray] = {}
-        for i, region in enumerate(self.regions):
-            tx = Transmitter(
-                station_id=f"{region.name}-fm",
-                location=region.center,
-                frequency_mhz=88.0 + (i % 10) * 2.0,
-                coverage_km=region.radius_km,
-                rate_bps=config.profiles[0][1],
-                station=region.name,
-            )
-            self.registry.add(tx)
-            self.stations[region.name] = Station(
-                region.name,
-                [tx],
-                selector=_build_selector(config),
-                ledger=RequestLedger(),
-            )
-            self.ledgers[region.name] = self.stations[region.name].ledger
-            priors[region.name] = self._region_prior(region.name)
+        self.ledgers = {region.name: RequestLedger() for region in self.regions}
+        priors = {region.name: self._region_prior(region.name) for region in self.regions}
         self.scheduler = DemandScheduler(
             [r.name for r in self.regions],
             config.n_pages,
@@ -609,19 +481,17 @@ class BroadcastNetwork:
     # -- the epoch-synchronous run ------------------------------------------
 
     def _make_cores(self) -> dict[str, _SimCore]:
+        rates = {name: rate for name, rate, _, _ in self.config.profiles}
+        url_index = {url: u for u, url in enumerate(self.urls)}
         cores = {}
         for region in self.regions:
-            station = self.stations[region.name]
-            selector = station.selector
-            assert selector is not None
-            rates = {name: rate for name, rate, _, _ in self.config.profiles}
+            selector = _build_selector(self.config)
             profile = selector.select(region.snr_start_db)
-            tx = station.transmitters[0]
-            tx.carousel.rate_bps = rates[profile]
             cores[region.name] = _SimCore(
                 station_id=region.name,
                 urls=self.urls,
-                carousel=tx.carousel,
+                url_index=url_index,
+                carousel=BroadcastCarousel(rates[profile]),
                 selector=selector,
                 profile_rates=rates,
                 profile=profile,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.imaging.codec import DecodeMemo
 from repro.server.cache import BundleStore, PageCache, bundle_key
-from repro.server.network import Station
 from repro.server.scheduler import (
     AdaptiveProfileSelector,
     PopularityScheduler,
@@ -22,6 +21,7 @@ from repro.server.scheduler import (
 from repro.server.transmitters import (
     Transmitter,
     TransmitterRegistry,
+    payload_digest,
 )
 from repro.sim.geometry import Location
 from repro.sms.gateway import SmsGateway
@@ -102,37 +102,11 @@ class SonicServer:
         self._catalog_pipeline = None  # lazy; shared across push_catalog calls
         self.profile_selector = profile_selector
         self._advised_profile: str | None = None
-        self._stations: dict[str, Station] = {}
         self.stats = ServerStats()
         # Store hits decode through the deployment's memo (SonicSystem),
         # so the station's receivers reuse those pixels.
         self._decode_memo = decode_memo
         gateway.register(config.sms_number, self._on_sms)
-
-    # -- stations ---------------------------------------------------------------
-
-    def station_for(self, tx: Transmitter) -> Station:
-        """The regional :class:`Station` owning ``tx`` (created lazily).
-
-        Stations share the server's profile selector; membership is
-        refreshed from the registry so transmitters added after the
-        first lookup still join their station.
-        """
-        assert tx.station is not None
-        members = self.transmitters.for_station(tx.station)
-        station = self._stations.get(tx.station)
-        if station is None:
-            station = Station(tx.station, members, selector=self.profile_selector)
-            self._stations[tx.station] = station
-        elif len(station.transmitters) != len(members):
-            station.transmitters = members
-        return station
-
-    def stations(self) -> dict[str, Station]:
-        """Every regional station in the registry, keyed by name."""
-        for sid in self.transmitters.station_ids():
-            self.station_for(self.transmitters.for_station(sid)[0])
-        return dict(self._stations)
 
     # -- identifiers ------------------------------------------------------------
 
@@ -211,25 +185,26 @@ class SonicServer:
         data: bytes,
         priority: float,
         version: int = 0,
-        with_frames: bool = True,
     ) -> None:
         """Queue ``data`` on a transmitter's carousel.
 
-        Routed through the owning regional :class:`Station`: frame
-        chunking goes through the transmitter's broadcast encode cache,
-        so a repeat broadcast of byte-identical content (the hourly
-        carousel case, or two users requesting the same page) reuses
-        the previously chunked frames instead of re-encoding them.
+        Frame chunking goes through the transmitter's broadcast encode
+        cache, so a repeat broadcast of byte-identical content (the
+        hourly carousel case, or two users requesting the same page)
+        reuses the previously chunked frames instead of re-encoding them.
         """
-        self.station_for(tx).enqueue(
-            tx,
-            url,
+        digest = payload_digest(data)
+        frames = tx.cache.frames(
             data,
-            priority=priority,
             page_id=self.page_id(url),
-            transport=self._transport,
             version=version,
-            with_frames=with_frames,
+            transport=self._transport,
+            digest=digest,
+        )
+        tx.carousel.enqueue(
+            CarouselItem(
+                url, len(data), priority=priority, frames=frames, digest=digest
+            )
         )
 
     # -- SMS handling ------------------------------------------------------------
@@ -280,34 +255,7 @@ class SonicServer:
         self, request: PageRequest, sender: str, now: float
     ) -> None:
         """The paper's core request flow: validate, render, queue, ACK."""
-        self.stats.requests += 1
-        url = request.url
-        if any(marker in url for marker in self.config.unsupported_markers):
-            self.stats.rejected += 1
-            self._reply(sender, RequestError(url, "unsupported-auth").to_text(), now)
-            return
-        where = Location(request.lat, request.lon)
-        tx = self.transmitters.covering(where)
-        if tx is None:
-            self.stats.rejected += 1
-            self._reply(sender, RequestError(url, "no-coverage").to_text(), now)
-            return
-        try:
-            _bundle, data = self.bundle_for(url, now)
-        except KeyError:
-            self.stats.rejected += 1
-            self._reply(sender, RequestError(url, "unknown-site").to_text(), now)
-            return
-        hour = int(now // 3600)
-        self.enqueue_broadcast(
-            tx,
-            url,
-            data,
-            priority=self.scheduler.config.request_priority,
-            version=self.generator.effective_epoch(url, hour),
-        )
-        eta = tx.carousel.eta_seconds(url) or 0.0
-        self._reply(sender, RequestAck(url, eta).to_text(), now)
+        self.handle_page_requests_batch([(request, sender)], now)
 
     def handle_page_requests_batch(
         self, requests: list[tuple[PageRequest, str]], now: float
@@ -320,8 +268,8 @@ class SonicServer:
         ``(transmitter, url)`` — so a burst of users asking for the same
         hot page costs a single :meth:`bundle_for` (itself usually a
         :class:`~repro.server.cache.BundleStore` hit).  Replies (ACK with
-        airtime estimate, or ERR) go out through the gateway exactly like
-        the serial path; the reply texts are also returned in order.
+        airtime estimate, or ERR) go out through the gateway, and the reply
+        texts are also returned in order.
         """
         hour = int(now // 3600)
         self.stats.requests += len(requests)
@@ -434,7 +382,7 @@ class SonicServer:
 
         hour = int(now // 3600)
         entries = []
-        for item in list(tx.carousel._queue):
+        for item in tx.carousel.items():
             version = (
                 item.frames[0].header.col if item.frames else
                 self.generator.effective_epoch(item.url, hour)
@@ -540,18 +488,17 @@ class SonicServer:
     # -- hourly push ------------------------------------------------------------
 
     def hourly_push(self, now: float) -> int:
-        """Render changed popular pages, queue on every station's fleet."""
+        """Render changed popular pages, queue on every transmitter."""
         hour = int(now // 3600)
         pushed = 0
-        stations = self.stations().values()
+        transmitters = self.transmitters.all()
         for url, priority in self.scheduler.pages_to_push(hour):
             _bundle, data = self.bundle_for(url, now)
             version = self.generator.effective_epoch(url, hour)
-            for station in stations:
-                for tx in station.transmitters:
-                    self.enqueue_broadcast(
-                        tx, url, data, priority=priority, version=version
-                    )
+            for tx in transmitters:
+                self.enqueue_broadcast(
+                    tx, url, data, priority=priority, version=version
+                )
             pushed += 1
         self.stats.pushes += pushed
         return pushed

@@ -10,9 +10,9 @@ are routed to the transmitter whose coverage disc contains the user.
 The carousel rebroadcasts popular pages hour after hour, and most hours
 the page has not changed — so each transmitter also owns a
 :class:`BroadcastEncodeCache`, an LRU keyed on the payload digest (plus
-modem profile and FEC parameters for the waveform level) that lets a
+modem profile and FEC parameters for the burst level) that lets a
 repeat broadcast of unchanged content reuse the chunked frames and the
-modulated waveform instead of re-encoding them.
+modulated bursts instead of re-encoding them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.sim.geometry import Location, distance_km
-from repro.transport.carousel import BroadcastCarousel, CarouselItem
+from repro.transport.carousel import BroadcastCarousel
 from repro.transport.framing import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -52,27 +52,26 @@ class CacheStats:
 
     frame_hits: int = 0
     frame_misses: int = 0
-    waveform_hits: int = 0
-    waveform_misses: int = 0
     burst_hits: int = 0
     burst_misses: int = 0
 
     @property
     def hits(self) -> int:
-        return self.frame_hits + self.waveform_hits + self.burst_hits
+        return self.frame_hits + self.burst_hits
 
     @property
     def misses(self) -> int:
-        return self.frame_misses + self.waveform_misses + self.burst_misses
+        return self.frame_misses + self.burst_misses
 
 
 class BroadcastEncodeCache:
-    """LRU cache of encoded frames and modulated waveforms.
+    """LRU cache of encoded frames and modulated bursts.
 
     Frame entries are keyed on ``(payload digest, page_id, version)`` —
-    everything :meth:`BundleTransport.chunk` depends on.  Waveform entries
-    additionally carry the modem profile name, its FEC parameters, and the
-    burst size, so different stations or profiles never share samples.
+    everything :meth:`BundleTransport.chunk` depends on.  Burst entries
+    carry the payload digest, the modem profile name, its FEC parameters,
+    and the burst size, so different stations or profiles never share
+    samples.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -116,28 +115,6 @@ class BroadcastEncodeCache:
         frames = transport.chunk(data, page_id=page_id, version=version)
         self._put(key, frames)
         return frames
-
-    def waveform(
-        self,
-        frames: list[Frame],
-        digest: str,
-        modem: "Modem",
-        frames_per_burst: int = 16,
-    ) -> np.ndarray:
-        """Modulated audio for a frame list, cached per content + profile."""
-        profile = modem.profile
-        key = ("waveform", digest, profile.name, profile.fec, frames_per_burst)
-        cached = self._get(key)
-        if cached is not None:
-            self.stats.waveform_hits += 1
-            return cached
-        self.stats.waveform_misses += 1
-        from repro.core.pipeline import frames_to_waveform  # avoid import cycle
-
-        wave = frames_to_waveform(frames, modem, frames_per_burst=frames_per_burst)
-        wave.setflags(write=False)  # shared across broadcasts — keep immutable
-        self._put(key, wave)
-        return wave
 
     def burst(
         self,
@@ -201,26 +178,6 @@ class Transmitter:
     def covers(self, where: Location) -> bool:
         return distance_km(self.location, where) <= self.coverage_km
 
-    def broadcast_waveform(
-        self,
-        item: CarouselItem,
-        modem: "Modem",
-        frames_per_burst: int = 16,
-    ) -> np.ndarray:
-        """Modulated audio for one queued item (audio-true simulations).
-
-        Repeat broadcasts of byte-identical content — the common carousel
-        case — return the cached waveform without re-running FEC or OFDM;
-        :attr:`cache` counters record how often that happens.
-        """
-        if item.frames is None:
-            raise ValueError(f"item {item.url} has no frame payloads")
-        if item.digest is None:
-            raise ValueError(f"item {item.url} carries no payload digest")
-        return self.cache.waveform(
-            item.frames, item.digest, modem, frames_per_burst=frames_per_burst
-        )
-
 
 class TransmitterRegistry:
     """Lookup of transmitters by call sign, by station, and by location.
@@ -230,7 +187,7 @@ class TransmitterRegistry:
     deterministic: two registries built from the same ``add`` sequence
     iterate identically, whatever process or hash seed runs them (a
     property test pins this).  Station membership is indexed at ``add``
-    time, so routing *within* a station never scans the whole fleet.
+    time, so listing a station's transmitters never scans the whole fleet.
     """
 
     def __init__(self, transmitters: list[Transmitter] | None = None) -> None:
@@ -265,17 +222,7 @@ class TransmitterRegistry:
 
     def covering(self, where: Location) -> Transmitter | None:
         """The nearest transmitter that covers ``where``, if any."""
-        return self._nearest_covering(self._by_id.values(), where)
-
-    def covering_in_station(
-        self, station: str, where: Location
-    ) -> Transmitter | None:
-        """The station's nearest covering transmitter, if any."""
-        return self._nearest_covering(self._by_station.get(station, []), where)
-
-    @staticmethod
-    def _nearest_covering(transmitters, where: Location) -> Transmitter | None:
-        candidates = [tx for tx in transmitters if tx.covers(where)]
+        candidates = [tx for tx in self._by_id.values() if tx.covers(where)]
         if not candidates:
             return None
         return min(candidates, key=lambda tx: distance_km(tx.location, where))

@@ -269,5 +269,5 @@ class BroadcastWorkload:
             np.array(times),
             np.array(backlog),
             np.array(hourly_mb),
-            completed_pages=len(carousel.completed),
+            completed_pages=carousel.completed_pages,
         )

@@ -10,7 +10,8 @@ plotted quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.transport.framing import FRAME_SIZE, Frame
@@ -42,19 +43,37 @@ class CarouselItem:
 
 
 class BroadcastCarousel:
-    """Priority-ordered transmission queue with byte-rate draining."""
+    """Priority-ordered transmission queue with byte-rate draining.
+
+    The queue is kept sorted by ``(-priority, enqueued_at)``; ties keep
+    their insertion order.  A url -> item index makes a repeat or a
+    replacement O(1) to find, and only a strict priority raise moves an
+    item.  Nothing outside this class reads or reorders the queue:
+    :meth:`items` is the read-only view.
+    """
 
     def __init__(self, rate_bps: float) -> None:
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
         self.rate_bps = rate_bps
         self._queue: list[CarouselItem] = []
+        self._by_url: dict[str, CarouselItem] = {}
         self._backlog = 0  # unsent bytes, kept in lockstep with _queue
         self.total_sent_bytes = 0
-        self.completed: list[tuple[str, float]] = []  # (url, completion time)
+        self.completed_pages = 0
         self._now = 0.0
 
     # -- queue management ------------------------------------------------------------
+
+    @staticmethod
+    def _order(item: CarouselItem) -> tuple[float, float]:
+        return (-item.priority, item.enqueued_at)
+
+    def _remove(self, item: CarouselItem) -> None:
+        i = bisect.bisect_left(self._queue, self._order(item), key=self._order)
+        while self._queue[i] is not item:
+            i += 1
+        del self._queue[i]
 
     def enqueue(self, item: CarouselItem) -> None:
         """Queue a page; a newer version of the same URL replaces the old.
@@ -65,18 +84,20 @@ class BroadcastCarousel:
         version (two users asking for the same page) must not restart
         the transmission — it only raises the queue priority.
         """
-        existing = next((q for q in self._queue if q.url == item.url), None)
+        existing = self._by_url.get(item.url)
         if existing is not None and self._same_version(existing, item):
-            existing.priority = max(existing.priority, item.priority)
-            self._queue.sort(key=lambda q: (-q.priority, q.enqueued_at))
+            if item.priority > existing.priority:
+                self._remove(existing)
+                existing.priority = item.priority
+                bisect.insort_right(self._queue, existing, key=self._order)
             return
         item.enqueued_at = self._now
         if existing is not None:
             self._backlog -= existing.remaining_bytes
-            self._queue = [q for q in self._queue if q.url != item.url]
+            self._remove(existing)
         self._backlog += item.remaining_bytes
-        self._queue.append(item)
-        self._queue.sort(key=lambda q: (-q.priority, q.enqueued_at))
+        self._by_url[item.url] = item
+        bisect.insort_right(self._queue, item, key=self._order)
 
     @staticmethod
     def _same_version(a: CarouselItem, b: CarouselItem) -> bool:
@@ -108,6 +129,19 @@ class BroadcastCarousel:
     def head(self) -> CarouselItem | None:
         return self._queue[0] if self._queue else None
 
+    def items(self) -> tuple[CarouselItem, ...]:
+        """The queued items, head first (a snapshot)."""
+        return tuple(self._queue)
+
+    def _complete_head(self) -> str:
+        """Retire the fully sent head item; returns its URL."""
+        item = self._queue.pop(0)
+        del self._by_url[item.url]
+        self._backlog -= item.remaining_bytes
+        item.sent_bytes = item.size_bytes
+        self.completed_pages += 1
+        return item.url
+
     # -- time advancement ------------------------------------------------------------
 
     def drain(self, seconds: float) -> list[str]:
@@ -127,9 +161,7 @@ class BroadcastCarousel:
             self.total_sent_bytes += take
             self._backlog -= take
             if item.remaining_bytes == 0:
-                finished.append(item.url)
-                self.completed.append((item.url, self._now + seconds))
-                self._queue.pop(0)
+                finished.append(self._complete_head())
         self._now += seconds
         return finished
 
@@ -171,9 +203,7 @@ class BroadcastCarousel:
             if item.frames is None:
                 raise ValueError(f"item {item.url} has no frame payloads")
             if item.frames_sent >= len(item.frames):
-                self._backlog -= item.remaining_bytes
-                self.completed.append((item.url, self._now))
-                self._queue.pop(0)
+                self._complete_head()
                 continue
             yield item.url, item.frames[item.frames_sent]
             item.frames_sent += 1
@@ -188,7 +218,4 @@ class BroadcastCarousel:
             self.total_sent_bytes += FRAME_SIZE
             emitted += 1
             if item.frames_sent >= len(item.frames):
-                self._backlog -= item.remaining_bytes
-                item.sent_bytes = item.size_bytes
-                self.completed.append((item.url, self._now))
-                self._queue.pop(0)
+                self._complete_head()

@@ -18,22 +18,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.radio.lossmodel import FrameLossModel
 from repro.server.network import (
     DEFAULT_PROFILE_LADDER,
     REQUEST_PRIORITY,
     BroadcastNetwork,
     NetworkConfig,
     RegionSpec,
-    Station,
     network_coverage,
     network_partition,
     run_network,
 )
-from repro.server.scheduler import AdaptiveProfileSelector
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location, RegionPartition
-from repro.sms.protocol import LinkReport
 
 _LAHORE = Location(31.5204, 74.3587)
 _KARACHI = Location(24.8607, 67.0011)
@@ -51,40 +47,6 @@ def _tx(call_sign="lhr-fm", station="lahore", where=_LAHORE, radius=30.0):
         rate_bps=16_000.0,
         station=station,
     )
-
-
-def _selector():
-    return AdaptiveProfileSelector(
-        {
-            name: (rate, FrameLossModel(fer_midpoint_db=mid, fer_scale_db=scale))
-            for name, rate, mid, scale in DEFAULT_PROFILE_LADDER
-        }
-    )
-
-
-class TestStation:
-    def test_rejects_foreign_transmitter(self):
-        with pytest.raises(ValueError):
-            Station("karachi", [_tx(station="lahore")])
-
-    def test_covering_picks_nearest_own_mast(self):
-        near = _tx("lhr-1", where=_LAHORE)
-        far = _tx("lhr-2", where=Location(31.6, 74.5))
-        station = Station("lahore", [near, far])
-        assert station.covering(_LAHORE) is near
-        assert station.covering(_KARACHI) is None
-
-    def test_observe_report_counts_switches(self):
-        station = Station("lahore", [_tx()], selector=_selector())
-        assert station.observe_report(LinkReport("turbo", 16.0, 0, 256)) == "turbo"
-        assert station.profile_switches == 0  # first advice is not a switch
-        choice = station.observe_report(LinkReport("turbo", 2.0, 200, 256))
-        assert choice != "turbo"
-        assert station.profile_switches == 1
-
-    def test_demand_snapshot_empty_without_ledger(self):
-        station = Station("lahore", [_tx()])
-        assert station.demand_snapshot() == {}
 
 
 class TestConfig:
