@@ -168,8 +168,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"simulated {args.seconds:.0f}s at {args.rate / 1000:.0f} kbps, "
           f"{len(system.generator.all_urls())} corpus pages")
     stats = system.server.stats
-    print(f"server: {stats.renders} renders, {stats.pushes} pushes, "
-          f"{stats.requests} requests, {stats.cache_hits} cache hits")
+    print(f"server: {stats.renders} renders, {stats.store_hits} store hits, "
+          f"{stats.pushes} pushes, {stats.requests} requests")
     for client in system.clients:
         print(f"  {client.profile.name:8} cache {len(client.cache.urls()):3} pages, "
               f"frame loss {client.frame_loss_rate * 100:5.1f}%, "

@@ -58,9 +58,9 @@ class SonicSystem:
                 )
             ]
         )
-        # The server and every receiver of this deployment see the same
-        # bundles, so they share one decode memo (read-only pixels); it is
-        # per system so separate deployments never see each other's pages.
+        # Every receiver of this deployment sees the same bundles, so they
+        # share one decode memo (read-only pixels); it is per system so
+        # separate deployments never see each other's pages.
         self.decode_memo = DecodeMemo()
         self.server = SonicServer(
             self.generator,
@@ -72,7 +72,6 @@ class SonicSystem:
                 max_pixel_height=config.max_pixel_height,
                 quality=config.quality,
             ),
-            decode_memo=self.decode_memo,
         )
         self.loss_model = FrameLossModel(seed=config.seed)
         self.clients: list[SonicClient] = []

@@ -6,7 +6,6 @@ queue broadcasts, answer requests over SMS with delivery estimates, and
 preemptively push the region's popular pages.
 """
 
-from repro.server.cache import PageCache, CachedPage
 from repro.server.transmitters import (
     BroadcastEncodeCache,
     CacheStats,
@@ -50,8 +49,6 @@ __all__ = [
     "SizeModelResolver",
     "LedgerStats",
     "RequestLedger",
-    "PageCache",
-    "CachedPage",
     "BroadcastEncodeCache",
     "CacheStats",
     "payload_digest",

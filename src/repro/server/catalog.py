@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.server.cache import BundleStore, bundle_key
 from repro.transport.bundle import PageBundle
+from repro.web.dom import Page
 from repro.web.render import PageRenderer
 from repro.web.sites import SiteGenerator
 
@@ -98,18 +99,11 @@ class CatalogResult:
         return self.n_pages / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _render_encode(
-    generator: SiteGenerator,
-    renderer: PageRenderer,
-    config: CatalogConfig,
-    url: str,
-    hour: int,
-) -> bytes:
-    """Render + encode one page — the pure function both paths share."""
-    page = generator.page(url, hour)
+def _render_encode(renderer: PageRenderer, config: CatalogConfig, page: Page) -> bytes:
+    """Render + encode one page — the pure function every path shares."""
     result = renderer.render_ref(page) if config.reference else renderer.render(page)
     bundle = PageBundle(
-        url,
+        page.url,
         result.image,
         result.clickmap,
         expiry_hours=config.expiry_hours,
@@ -136,7 +130,9 @@ def _encode_worker(args: tuple[str, int]) -> bytes:
     url, hour = args
     assert _worker_generator is not None and _worker_renderer is not None
     assert _worker_config is not None
-    return _render_encode(_worker_generator, _worker_renderer, _worker_config, url, hour)
+    return _render_encode(
+        _worker_renderer, _worker_config, _worker_generator.page(url, hour)
+    )
 
 
 def _encode_worker_indexed(args: tuple[int, str, int]) -> tuple[int, bytes]:
@@ -201,7 +197,7 @@ class _InlinePool:
     def _encode(self, args: tuple[str, int]) -> bytes:
         url, hour = args
         return _render_encode(
-            self._generator, self._renderer, self._config, url, hour
+            self._renderer, self._config, self._generator.page(url, hour)
         )
 
     # ``func`` is always one of this module's worker shims, whose state
@@ -366,11 +362,19 @@ class CatalogPipeline:
         return key, epoch
 
     def _encode_serial(self, url: str, hour: int) -> bytes:
+        return self.encode_dom(self.generator.page(url, hour))
+
+    def encode_dom(self, page: Page) -> bytes:
+        """Render + encode ``page`` in this process, bypassing the store.
+
+        For pages built outside the corpus (a search results page), whose
+        bytes are not a function of ``(url, hour)``.
+        """
         if self._renderer is None:
             self._renderer = PageRenderer(
                 width=self.config.width, max_height=self.config.max_height
             )
-        return _render_encode(self.generator, self._renderer, self.config, url, hour)
+        return _render_encode(self._renderer, self.config, page)
 
     def encode_page(self, url: str, hour: int = 0) -> CatalogPage:
         """One page through the store-backed pipeline (always serial)."""

@@ -431,7 +431,9 @@ class BroadcastNetwork:
     Owns the per-region ledgers, the region-local Tranco priors, and the
     :class:`DemandScheduler` that allocates pages to stations at every
     epoch boundary.  Each station's simulated state is one ``_SimCore``,
-    built fresh by :meth:`run`.
+    built fresh by :meth:`run`.  A network is single-use: the ledgers
+    and the scheduler keep the first run's state, so :meth:`run` refuses
+    a second call (:func:`run_network` builds a fresh network per run).
     """
 
     def __init__(self, config: NetworkConfig = NetworkConfig()) -> None:
@@ -442,6 +444,7 @@ class BroadcastNetwork:
         self.size_model = PageSizeModel(self.generator, quality=config.quality)
         self.store = BundleStore(capacity=4 * config.n_pages)
         self.ledgers = {region.name: RequestLedger() for region in self.regions}
+        self._ran = False
         priors = {region.name: self._region_prior(region.name) for region in self.regions}
         self.scheduler = DemandScheduler(
             [r.name for r in self.regions],
@@ -536,6 +539,11 @@ class BroadcastNetwork:
         canonical station order, and the scheduler only ever runs in the
         parent at epoch boundaries.
         """
+        if self._ran:
+            raise RuntimeError(
+                "BroadcastNetwork is single-use: build a new network to run again"
+            )
+        self._ran = True
         cfg = self.config
         cores = self._make_cores()
         station_ids = [r.name for r in self.regions]

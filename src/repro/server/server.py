@@ -1,7 +1,7 @@
 """The SONIC server: SMS requests in, FM broadcasts out (Section 3.1).
 
 Workflow for a request: parse the SMS, locate a transmitter covering the
-user, produce the page bundle (cache first, render otherwise), queue it
+user, produce the page bundle (store first, render otherwise), queue it
 on that transmitter's carousel ahead of the popularity pushes, and reply
 with an ACK carrying the airtime estimate.  An hourly tick re-renders
 changed popular pages and queues them as preemptive pushes.
@@ -9,10 +9,10 @@ changed popular pages and queues them as preemptive pushes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.imaging.codec import DecodeMemo
-from repro.server.cache import BundleStore, PageCache, bundle_key
+from repro.server.cache import BundleStore
+from repro.server.catalog import CatalogConfig, CatalogPage, CatalogPipeline
 from repro.server.scheduler import (
     AdaptiveProfileSelector,
     PopularityScheduler,
@@ -35,10 +35,9 @@ from repro.sms.protocol import (
     SearchRequest,
     parse_uplink,
 )
-from repro.transport.bundle import BundleTransport, PageBundle
+from repro.transport.bundle import BundleTransport
 from repro.transport.carousel import CarouselItem
 from repro.web.dom import Heading, LinkList, Page, Paragraph
-from repro.web.render import PageRenderer
 from repro.web.sites import SiteGenerator
 
 __all__ = ["ServerConfig", "SonicServer"]
@@ -52,7 +51,6 @@ class ServerConfig:
     render_width: int = 1080
     max_pixel_height: int | None = 10_000
     quality: int = 10
-    cache_ttl_s: float = 4 * 3600.0
     client_cache_hours: float = 24.0
     unsupported_markers: tuple[str, ...] = ("login", "account", "bank", "signin")
 
@@ -62,7 +60,6 @@ class ServerStats:
     """Counters for the evaluation harness."""
 
     requests: int = 0
-    cache_hits: int = 0
     renders: int = 0
     store_hits: int = 0  # encoded bundles reused from the BundleStore
     rejected: int = 0
@@ -84,28 +81,19 @@ class SonicServer:
         scheduler_config: SchedulerConfig = SchedulerConfig(),
         bundle_store: BundleStore | None = None,
         profile_selector: AdaptiveProfileSelector | None = None,
-        decode_memo: DecodeMemo | None = None,
     ) -> None:
         self.generator = generator
         self.transmitters = transmitters
         self.gateway = gateway
         self.config = config
-        self.cache = PageCache(default_ttl_s=config.cache_ttl_s)
         self.bundle_store = bundle_store if bundle_store is not None else BundleStore()
         self.scheduler = PopularityScheduler(generator, scheduler_config)
-        self.renderer = PageRenderer(
-            width=config.render_width, max_height=config.max_pixel_height
-        )
         self._transport = BundleTransport()
         self._page_ids: dict[str, int] = {}
-        self._encoded: dict[tuple[str, int], bytes] = {}
-        self._catalog_pipeline = None  # lazy; shared across push_catalog calls
+        self._catalog_pipeline: CatalogPipeline | None = None  # lazy
         self.profile_selector = profile_selector
         self._advised_profile: str | None = None
         self.stats = ServerStats()
-        # Store hits decode through the deployment's memo (SonicSystem),
-        # so the station's receivers reuse those pixels.
-        self._decode_memo = decode_memo
         gateway.register(config.sms_number, self._on_sms)
 
     # -- identifiers ------------------------------------------------------------
@@ -116,65 +104,27 @@ class SonicServer:
             self._page_ids[url] = len(self._page_ids) % 65_536
         return self._page_ids[url]
 
-    # -- rendering ------------------------------------------------------------
+    # -- page bytes ------------------------------------------------------------
 
-    def _bundle_key(self, url: str, epoch: int) -> str:
-        return bundle_key(
-            url,
-            epoch,
-            self.config.render_width,
-            self.config.max_pixel_height,
-            self.config.quality,
-            self.generator.seed,
-        )
+    def bundle_for(self, url: str, now: float) -> CatalogPage:
+        """The page's encoded bundle at simulation time ``now``.
 
-    def render_bundle(self, url: str, now: float) -> tuple[PageBundle, bytes]:
-        """Produce (bundle, encoded bytes) for a URL at simulation time.
-
-        The persistent :class:`BundleStore` is consulted first: an hour,
-        process, or prior run that already encoded this (url, epoch) at
-        the same render settings hands back the identical bytes without
-        rendering or re-encoding.
+        Requests, hourly pushes and :meth:`push_catalog` all read and
+        fill the one :class:`~repro.server.cache.BundleStore` through
+        :meth:`~repro.server.catalog.CatalogPipeline.encode_page`: an
+        hour, request, or prior run that already encoded this (url,
+        epoch) at the same render settings hands back the identical
+        bytes; a miss renders and encodes once.
         """
-        hour = int(now // 3600)
-        epoch = self.generator.effective_epoch(url, hour)
-        key = self._bundle_key(url, epoch)
-        data = self.bundle_store.get(key)
-        if data is not None:
+        page = self.catalog_pipeline().encode_page(url, int(now // 3600))
+        if page.from_store:
             self.stats.store_hits += 1
-            bundle = PageBundle.from_bytes(data, self._decode_memo)
         else:
-            page = self.generator.page(url, hour)
-            result = self.renderer.render(page)
-            bundle = PageBundle(
-                url,
-                result.image,
-                result.clickmap,
-                expiry_hours=self.config.client_cache_hours,
-                quality=self.config.quality,
-            )
-            data = bundle.to_bytes()
             self.stats.renders += 1
-            self.bundle_store.put(key, data)
-        # Keep only the freshest encode per URL: stale epochs are never
-        # broadcast again, and long simulations must not grow unbounded.
-        stale = [key for key in self._encoded if key[0] == url and key[1] != epoch]
-        for key in stale:
-            del self._encoded[key]
-        self._encoded[(url, epoch)] = data
-        return bundle, data
+        return page
 
-    def bundle_for(self, url: str, now: float) -> tuple[PageBundle, bytes]:
-        """Cache-aware bundle production."""
-        cached = self.cache.get(url, now)
-        hour = int(now // 3600)
-        epoch = self.generator.effective_epoch(url, hour)
-        if cached is not None and (url, epoch) in self._encoded:
-            self.stats.cache_hits += 1
-            return cached.bundle, self._encoded[(url, epoch)]
-        bundle, data = self.render_bundle(url, now)
-        self.cache.put(bundle, now)
-        return bundle, data
+    # perfbench calls render_bundle and traces bundle_for via the class __dict__.
+    render_bundle = bundle_for
 
     # -- broadcasting ------------------------------------------------------------
 
@@ -271,7 +221,6 @@ class SonicServer:
         airtime estimate, or ERR) go out through the gateway, and the reply
         texts are also returned in order.
         """
-        hour = int(now // 3600)
         self.stats.requests += len(requests)
         routed: list[tuple[PageRequest, str, Transmitter | None, str | None]] = []
         for request, sender in requests:
@@ -286,7 +235,7 @@ class SonicServer:
             routed.append((request, sender, tx, None))
 
         # One bundle per unique URL, one enqueue per unique (tx, url).
-        bundles: dict[str, bytes | None] = {}
+        bundles: dict[str, CatalogPage | None] = {}
         queued: set[tuple[int, str]] = set()
         replies: list[str] = []
         for request, sender, tx, error in routed:
@@ -294,12 +243,11 @@ class SonicServer:
             if error is None:
                 if url not in bundles:
                     try:
-                        _bundle, data = self.bundle_for(url, now)
-                        bundles[url] = data
+                        bundles[url] = self.bundle_for(url, now)
                     except KeyError:
                         bundles[url] = None
-                data = bundles[url]
-                if data is None:
+                page = bundles[url]
+                if page is None:
                     error = "unknown-site"
                 else:
                     assert tx is not None
@@ -307,9 +255,9 @@ class SonicServer:
                         self.enqueue_broadcast(
                             tx,
                             url,
-                            data,
+                            page.data,
                             priority=self.scheduler.config.request_priority,
-                            version=self.generator.effective_epoch(url, hour),
+                            version=page.epoch,
                         )
                         queued.add((id(tx), url))
                     eta = tx.carousel.eta_seconds(url) or 0.0
@@ -341,12 +289,7 @@ class SonicServer:
                 LinkList(tuple(results[:10])),
             ],
         )
-        rendered = self.renderer.render(page)
-        bundle = PageBundle(
-            url, rendered.image, rendered.clickmap,
-            expiry_hours=self.config.client_cache_hours, quality=self.config.quality,
-        )
-        data = bundle.to_bytes()
+        data = self.catalog_pipeline().encode_dom(page)
         self.enqueue_broadcast(
             tx, url, data, priority=self.scheduler.config.request_priority
         )
@@ -410,17 +353,17 @@ class SonicServer:
         )
         return len(entries)
 
-    def catalog_pipeline(self, persistent: bool = False, processes: int | None = None):
+    def catalog_pipeline(
+        self, persistent: bool = False, processes: int | None = None
+    ) -> CatalogPipeline:
         """The server's shared :class:`~repro.server.catalog.CatalogPipeline`.
 
         Built once (lazily) over this server's generator and bundle
-        store, so every ``push_catalog`` call — and any persistent worker
-        pool attached with ``persistent=True`` — is reused across hours
-        instead of respawned per call.  Call :meth:`close` when done if a
-        pool was started.
+        store, so every request, hourly push and ``push_catalog`` call —
+        and any persistent worker pool attached with ``persistent=True``
+        — is reused across hours instead of respawned per call.  Call
+        :meth:`close` when done if a pool was started.
         """
-        from repro.server.catalog import CatalogConfig, CatalogPipeline
-
         if self._catalog_pipeline is None:
             self._catalog_pipeline = CatalogPipeline(
                 CatalogConfig(
@@ -473,7 +416,6 @@ class SonicServer:
                 priority=self.scheduler.page_priority(page.url, hour),
                 version=page.epoch,
             )
-            self._encoded[(page.url, page.epoch)] = page.data
         self.stats.pushes += result.n_pages
         self.broadcast_catalog(tx, now)
         return result
@@ -493,11 +435,10 @@ class SonicServer:
         pushed = 0
         transmitters = self.transmitters.all()
         for url, priority in self.scheduler.pages_to_push(hour):
-            _bundle, data = self.bundle_for(url, now)
-            version = self.generator.effective_epoch(url, hour)
+            page = self.bundle_for(url, now)
             for tx in transmitters:
                 self.enqueue_broadcast(
-                    tx, url, data, priority=priority, version=version
+                    tx, url, page.data, priority=priority, version=page.epoch
                 )
             pushed += 1
         self.stats.pushes += pushed

@@ -148,11 +148,7 @@ class BroadcastEncodeCache:
 class Transmitter:
     """One FM transmitter participating in SONIC.
 
-    ``station_id`` doubles as the call sign; ``station`` names the
-    regional station the transmitter belongs to (a station may operate
-    several transmitters — a main mast plus boosters).  It defaults to
-    the call sign itself, so a standalone transmitter is its own
-    single-member station.
+    ``station_id`` doubles as the call sign.
     """
 
     station_id: str
@@ -161,7 +157,6 @@ class Transmitter:
     coverage_km: float
     rate_bps: float = 10_000.0
     cache_capacity: int = 64
-    station: str | None = None
     carousel: BroadcastCarousel = field(init=False)
     cache: BroadcastEncodeCache = field(init=False)
 
@@ -170,8 +165,6 @@ class Transmitter:
             raise ValueError(f"{self.frequency_mhz} MHz outside the FM band")
         if self.coverage_km <= 0:
             raise ValueError("coverage radius must be positive")
-        if self.station is None:
-            self.station = self.station_id
         self.carousel = BroadcastCarousel(self.rate_bps)
         self.cache = BroadcastEncodeCache(self.cache_capacity)
 
@@ -180,19 +173,16 @@ class Transmitter:
 
 
 class TransmitterRegistry:
-    """Lookup of transmitters by call sign, by station, and by location.
+    """Lookup of transmitters by call sign and by location.
 
-    Both indexes are plain insertion-ordered dicts, so every iteration
-    surface (:meth:`all`, :meth:`station_ids`, :meth:`for_station`) is
+    The index is a plain insertion-ordered dict, so :meth:`all` is
     deterministic: two registries built from the same ``add`` sequence
     iterate identically, whatever process or hash seed runs them (a
-    property test pins this).  Station membership is indexed at ``add``
-    time, so listing a station's transmitters never scans the whole fleet.
+    property test pins this).
     """
 
     def __init__(self, transmitters: list[Transmitter] | None = None) -> None:
         self._by_id: dict[str, Transmitter] = {}
-        self._by_station: dict[str, list[Transmitter]] = {}
         for tx in transmitters or []:
             self.add(tx)
 
@@ -200,8 +190,6 @@ class TransmitterRegistry:
         if tx.station_id in self._by_id:
             raise ValueError(f"duplicate call sign {tx.station_id}")
         self._by_id[tx.station_id] = tx
-        assert tx.station is not None  # __post_init__ defaults it
-        self._by_station.setdefault(tx.station, []).append(tx)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -211,14 +199,6 @@ class TransmitterRegistry:
 
     def all(self) -> list[Transmitter]:
         return list(self._by_id.values())
-
-    def station_ids(self) -> list[str]:
-        """Station names, in first-``add`` order."""
-        return list(self._by_station)
-
-    def for_station(self, station: str) -> list[Transmitter]:
-        """The station's transmitters (indexed — no fleet scan)."""
-        return list(self._by_station.get(station, []))
 
     def covering(self, where: Location) -> Transmitter | None:
         """The nearest transmitter that covers ``where``, if any."""

@@ -1,8 +1,8 @@
 """Decode-once sharing of page images (`repro.imaging.codec.DecodeMemo`).
 
 Every phone under one station receives the same bundle bytes, so a
-``SonicSystem``'s clients and server decode each distinct image once and
-share read-only pixels.  The memo is per system, bounded, and never
+``SonicSystem``'s clients decode each distinct image once and share
+read-only pixels.  The memo is per system, bounded, and never
 holds damaged input.
 """
 
@@ -72,15 +72,14 @@ class TestSharedDecode:
         with pytest.raises(ValueError):
             page_a.image[0, 0, 0] = 1
 
-    def test_server_store_hits_share_with_receivers(self, decode_calls):
+    def test_server_store_hit_decodes_nothing(self, decode_calls):
+        # The server serves bytes; only receivers decode.
         system = _system()
         url = system.generator.all_urls()[0]
-        system.server.render_bundle(url, 0.0)  # rendered into the store
+        system.server.bundle_for(url, 0.0)  # rendered into the store
+        page = system.server.bundle_for(url, 0.0)  # store hit
+        assert page.from_store
         assert decode_calls == []
-        served, data = system.server.render_bundle(url, 0.0)  # store hit
-        (received,) = system.clients[0].on_frames(_frames(data), 1.0)
-        assert len(decode_calls) == 1
-        assert received.image is served.image
 
     def test_fresh_system_decodes_again(self, bundle_bytes, decode_calls):
         first, second = _system(), _system()
